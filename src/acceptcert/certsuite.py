@@ -4,9 +4,15 @@ Each certificate packages one finite computation: a homomorphism pair that
 must come out element-conjugate but not globally conjugate, the rotation
 criterion with its exact counts and verified witness, an angle scan with its
 exact failing set, or a batch of conjugated sanity pairs that must come back
-globally conjugate.  Expected outcomes are data on the certificate, never
-code: a failing run means either a bug or a genuinely different answer, and
-the result records which sub-verdict disagreed.
+globally conjugate.  Expected outcomes are data on the certificate; only the
+scans compute theirs, from the closed-form classification that ``scan-scf``
+checks against, evaluated on the run's angles.  A failing run means either a
+bug or a genuinely different answer, and the result records which
+sub-verdict disagreed.
+
+Every certificate declares its parameters and their JSON types; a run whose
+parameters miss a key, add an unknown one or give a value of the wrong type
+raises CertParamError before any computation starts.
 
 Builders are deterministic in their parameters, including the randomized
 sanity batches (fixed seeds).  ``run_all`` produces results in a fixed
@@ -38,7 +44,13 @@ from .homcheck import (
     decide_global,
     is_element_conjugate,
 )
-from .scfcheck import KIND_O_ODD, KIND_SO_ODD, scan_angles
+from .scfcheck import (
+    KIND_O_ODD,
+    KIND_SO_ODD,
+    closed_form_outcome,
+    scan_angles,
+    scan_grid,
+)
 from .so3crit import (
     InfiniteCentralizer,
     build_witness_pair,
@@ -52,17 +64,60 @@ class CertParamError(Exception):
     """Bad certificate id or parameters."""
 
 
+_INT = "an integer"
+_STR = "a string"
+_INT_LIST = "a list of integers"
+
+_TYPE_CHECKS = {
+    _INT: lambda v: type(v) is int,
+    _STR: lambda v: type(v) is str,
+    _INT_LIST: lambda v: (isinstance(v, (list, tuple))
+                          and all(type(x) is int for x in v)),
+}
+
+
 class Certificate:
-    """One named computation with parameters, a claim, and expected outcomes."""
+    """One named computation with a parameter schema, a claim, and expected outcomes.
 
-    __slots__ = ("id", "kind", "claim", "param_grid", "expected")
+    ``params`` maps every required parameter to its type, ``optional`` every
+    parameter a run may leave out.  ``expected`` is a dict of expected
+    verdicts, or a function from the run's parameters to one.
+    """
 
-    def __init__(self, id: str, kind: str, claim: str, param_grid, expected):
+    __slots__ = ("id", "kind", "claim", "param_grid", "params", "optional", "expected")
+
+    def __init__(self, id: str, kind: str, claim: str, param_grid, expected,
+                 params=None, optional=None):
         self.id = id
         self.kind = kind
         self.claim = claim
         self.param_grid = tuple(param_grid)
+        self.params = dict(params or {})
+        self.optional = dict(optional or {})
         self.expected = expected
+
+    def check_params(self, params) -> None:
+        """Raise CertParamError unless ``params`` matches the declared schema."""
+        if not isinstance(params, dict):
+            raise CertParamError("parameters for %s must be an object" % (self.id,))
+        for key in params:
+            if key not in self.params and key not in self.optional:
+                raise CertParamError(
+                    "%s has no parameter %r (it takes: %s)"
+                    % (self.id, key, ", ".join(sorted({**self.params, **self.optional}))
+                       or "none"))
+        for key in self.params:
+            if key not in params:
+                raise CertParamError("%s needs parameter %r" % (self.id, key))
+        for key, value in params.items():
+            kind = self.params.get(key) or self.optional[key]
+            if not _TYPE_CHECKS[kind](value):
+                raise CertParamError("%s parameter %r must be %s, got %r"
+                                     % (self.id, key, kind, value))
+
+    def expected_for(self, params) -> dict:
+        exp = self.expected
+        return dict(exp(params) if callable(exp) else exp)
 
 
 class RunResult:
@@ -143,7 +198,7 @@ def _build_su4_mod_center(params):
 def _build_sp1_diag(params):
     m = params["m"]
     eps = params["eps"]
-    if not isinstance(m, int) or m < 3:
+    if m < 3:
         raise CertParamError("sp1_diag needs an integer m >= 3")
     if eps not in (1, -1):
         raise CertParamError("sp1_diag needs eps in {1, -1}")
@@ -177,7 +232,7 @@ def _is_odd_prime(p: int) -> bool:
 
 def _build_psu_odd_prime(params):
     p = params["p"]
-    if not isinstance(p, int) or not _is_odd_prime(p):
+    if not _is_odd_prime(p):
         raise CertParamError("psu_odd_prime needs an odd prime p")
     w = cyc_zeta(p)
     shift = ExactMatrix.make(
@@ -195,7 +250,7 @@ def _build_psu_odd_prime(params):
 
 def _build_su4_power_d4(params):
     k = params["k"]
-    if not isinstance(k, int) or k < 1:
+    if k < 1:
         raise CertParamError("su4_power_d4 needs an integer k >= 1")
     g = _su4_mod_center_group(k)
     src = formal_group(FormalGroupSpec.cyclic_product(4, 4))
@@ -268,7 +323,7 @@ def _run_sanity(params):
     seed = params["seed"]
     if group_name not in ("su4", "sp1_cubed"):
         raise CertParamError("sanity group must be su4 or sp1_cubed")
-    if not isinstance(count, int) or count < 1:
+    if count < 1:
         raise CertParamError("sanity count must be a positive integer")
     rng = random.Random(seed)
     pool = _unit_quat_pool()
@@ -307,7 +362,25 @@ _EC_NOT_GC = {"element_conjugate": True, "globally_conjugate": False}
 _EC_NOT_GC_ORACLE = {"element_conjugate": True, "globally_conjugate": False,
                      "oracle_agrees": True}
 
-_O_ODD_FAILING = [[1, 4], [3, 4], [2, 8], [6, 8]]
+SCAN_DENOMINATORS = (4, 6, 8)
+_SCAN_KINDS = {"scf_o_odd": KIND_O_ODD, "scf_so_odd": KIND_SO_ODD}
+
+
+def _scan_expected(cert_id: str):
+    """Expected scan verdicts: the closed form's failing angles, nothing undecided."""
+    kind = _SCAN_KINDS[cert_id]
+
+    def expected(params):
+        grid = scan_grid(params.get("denominators", SCAN_DENOMINATORS))
+        failing = [[k, m] for k, m in grid if closed_form_outcome(kind, k, m) == "fails"]
+        return {"failing": failing, "undecided": 0}
+
+    return expected
+
+
+_SP1_PARAMS = {"m": _INT, "eps": _INT}
+_SCAN_PARAMS = {"n": _INT}
+_SCAN_OPTIONAL = {"denominators": _INT_LIST}
 
 
 def registry() -> list:
@@ -330,6 +403,7 @@ def registry() -> list:
                    "globally conjugate for every m >= 3 and either sign."),
             param_grid=tuple({"m": m, "eps": e} for m in range(3, 9) for e in (1, -1)),
             expected=_EC_NOT_GC_ORACLE,
+            params=_SP1_PARAMS,
         ),
         Certificate(
             id="psp3_via_sp1",
@@ -338,6 +412,7 @@ def registry() -> list:
                    "the m = 3 diagonal pair: same split verdict."),
             param_grid=({"m": 3, "eps": 1}, {"m": 3, "eps": -1}),
             expected=_EC_NOT_GC_ORACLE,
+            params=_SP1_PARAMS,
         ),
         Certificate(
             id="psu_odd_prime",
@@ -347,6 +422,7 @@ def registry() -> list:
                    "but not globally conjugate."),
             param_grid=({"p": 3}, {"p": 5}),
             expected=_EC_NOT_GC,
+            params={"p": _INT},
         ),
         Certificate(
             id="su4_power_d4",
@@ -355,6 +431,7 @@ def registry() -> list:
                    "the diagonal sign center keeps the same split verdict."),
             param_grid=({"k": 1}, {"k": 2}),
             expected=_EC_NOT_GC,
+            params={"k": _INT},
         ),
         Certificate(
             id="crit_3a1",
@@ -384,7 +461,9 @@ def registry() -> list:
                    "fails the centralizer-translate membership exactly at the "
                    "quarter and three-quarter turns."),
             param_grid=({"n": 1}, {"n": 2}),
-            expected={"failing": _O_ODD_FAILING, "undecided": 0},
+            expected=_scan_expected("scf_o_odd"),
+            params=_SCAN_PARAMS,
+            optional=_SCAN_OPTIONAL,
         ),
         Certificate(
             id="scf_so_odd",
@@ -392,7 +471,9 @@ def registry() -> list:
             claim=("The last-vector stabilizer SO(2n+1) passes the "
                    "centralizer-translate membership at every scanned angle."),
             param_grid=({"n": 1}, {"n": 2}),
-            expected={"failing": [], "undecided": 0},
+            expected=_scan_expected("scf_so_odd"),
+            params=_SCAN_PARAMS,
+            optional=_SCAN_OPTIONAL,
         ),
         Certificate(
             id="sanity_acceptable",
@@ -402,6 +483,7 @@ def registry() -> list:
             param_grid=({"group": "su4", "count": 25, "seed": 20260819},
                         {"group": "sp1_cubed", "count": 25, "seed": 20260820}),
             expected={"all_globally_conjugate": True},
+            params={"group": _STR, "count": _INT, "seed": _INT},
         ),
     ]
 
@@ -469,11 +551,13 @@ def _run_criterion(cert: Certificate, params, cap):
 
 def _run_scan(cert: Certificate, params, cap):
     n = params["n"]
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         raise CertParamError("scan needs an integer n >= 1")
-    denominators = params.get("denominators", (4, 6, 8))
-    kind = KIND_O_ODD if cert.id == "scf_o_odd" else KIND_SO_ODD
-    rows = scan_angles(kind, n, denominators)
+    denominators = params.get("denominators", SCAN_DENOMINATORS)
+    if not denominators or any(m < 1 for m in denominators):
+        raise CertParamError("scan denominators must be a non-empty list of "
+                             "positive integers")
+    rows = scan_angles(_SCAN_KINDS[cert.id], n, denominators)
     failing = [[v.angle.k, v.angle.m] for v in rows if v.outcome == "fails"]
     undecided = sum(1 for v in rows if v.outcome == "undecided")
     verdicts = {"failing": failing, "undecided": undecided}
@@ -490,6 +574,7 @@ def run(cert_id: str, params=None, cap: int | None = None) -> RunResult:
     cert = _find_certificate(cert_id)
     if params is None:
         params = dict(cert.param_grid[0]) if cert.param_grid else {}
+    cert.check_params(params)
     start = time.perf_counter()
     if cert.kind == "hompair":
         verdicts, counts = _run_hompair(cert, params, cap)
@@ -502,7 +587,7 @@ def run(cert_id: str, params=None, cap: int | None = None) -> RunResult:
     else:
         raise CertParamError("certificate %r has unknown kind %r" % (cert.id, cert.kind))
     seconds = time.perf_counter() - start
-    return RunResult(cert.id, params, cert.claim, cert.expected, verdicts,
+    return RunResult(cert.id, params, cert.claim, cert.expected_for(params), verdicts,
                      counts, seconds)
 
 

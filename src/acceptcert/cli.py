@@ -36,7 +36,7 @@ from .exactalg import ExactAlgError, cyc_rational, sqrt_rational
 from .fingrp import ClosureCapError, GroupStructureError, NotAHomomorphismError
 from .grpcore import GroupError, Quat
 from .homcheck import GloballyConjugate, decide_global, is_element_conjugate
-from .scfcheck import KIND_O_ODD, KIND_SO_ODD, scan_angles
+from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome, scan_angles
 from .so3crit import (
     InfiniteCentralizer,
     build_witness_pair,
@@ -100,7 +100,7 @@ def _load_grid_overrides(path):
     if not isinstance(data, dict):
         raise CertParamError("parameter file must map certificate ids to "
                              "lists of parameter objects")
-    known = {cert.id for cert in registry()}
+    known = {cert.id: cert for cert in registry()}
     out = {}
     for cert_id, grid in data.items():
         if cert_id not in known:
@@ -109,6 +109,8 @@ def _load_grid_overrides(path):
         if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
             raise CertParamError("parameters for %r must be a list of objects"
                                  % (cert_id,))
+        for params in grid:
+            known[cert_id].check_params(params)
         out[cert_id] = [dict(p) for p in grid]
     return out
 
@@ -145,7 +147,7 @@ def _cmd_list(args) -> int:
                 "kind": c.kind,
                 "claim": c.claim,
                 "param_grid": [dict(p) for p in c.param_grid],
-                "expected": dict(c.expected),
+                "expected": c.expected_for(c.param_grid[0]),
             }
             for c in certs
         ],
@@ -206,12 +208,6 @@ def _cmd_verify(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _predicted_outcome(kind: str, k: int, m: int) -> str:
-    if kind == KIND_O_ODD and Fraction(k, m) in (Fraction(1, 4), Fraction(3, 4)):
-        return "fails"
-    return "holds"
-
-
 def _cmd_scan_scf(args) -> int:
     if args.n < 1:
         raise CertParamError("n must be a positive integer")
@@ -227,7 +223,7 @@ def _cmd_scan_scf(args) -> int:
     seconds = time.perf_counter() - start
     mismatches = []
     for verdict in rows:
-        want = _predicted_outcome(kind, verdict.angle.k, verdict.angle.m)
+        want = closed_form_outcome(kind, verdict.angle.k, verdict.angle.m)
         if verdict.outcome != want:
             mismatches.append({"k": verdict.angle.k, "m": verdict.angle.m,
                                "got": verdict.outcome, "want": want})

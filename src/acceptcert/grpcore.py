@@ -7,9 +7,31 @@ components); an element of a central quotient is a QuotElement storing the
 canonical coset representative (minimum of the coset under the deterministic
 sort key), so equality and hashing are plain structural comparisons.
 
-Component products are memoized in a module cache: group-theoretic phases
-(closures, homomorphism verification, cocycle tables) repeat the same factor
-pairs constantly, and each distinct pair is only ever computed once.
+Component parts are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006).  A module table maps each part value to one canonical
+object, and every place that creates a part for an AmbientElement (products,
+inverses, GroupSpec.element, the identity and the central elements) hands
+out that object; so3crit does the same for its rotation triples.  Products
+and inverses of parts are memoized on top: group-theoretic phases (closures,
+homomorphism verification, cocycle tables) repeat the same factor pairs
+constantly, and each distinct pair is only ever computed once.
+
+Why this is sound.  Equality of parts stays structural (Quat.__eq__ and
+ExactMatrix.__eq__ compare components), and hashing stays a function of the
+value, so interning changes no answer: a dict or tuple lookup is decided by
+hash and ``==`` exactly as before.  What changes is the cost.  CPython
+compares container items with PyObject_RichCompareBool, which returns True
+for two references to the same object before it calls ``__eq__``.  When both
+sides of a comparison are canonical, equal values are the same object, so
+the lookups in the product memo, in fingrp.closure, in FinGroup.index and in
+the central-subgroup index of homcheck end at that identity check; unequal
+canonical values still reach ``__eq__``, which tells them apart at their
+first differing component.  A part that was never interned, or that was
+interned before the tables were last cleared, is still equal to its
+canonical twin under ``__eq__``, so it only takes the slower path.
+
+The canonical table and the memos share one bound, ``ACCEPTCERT_MULCACHE``
+entries per table, and are cleared together when a table reaches it.
 """
 
 from __future__ import annotations
@@ -258,18 +280,48 @@ def so3_factor() -> Factor:
 # --- ambient elements ---------------------------------------------------------
 
 
-_MUL_CACHE: dict = {}
+_PARTS: dict = {}       # part value -> its canonical object
+_MUL_CACHE: dict = {}   # (part, part) -> canonical product
+_INV_CACHE: dict = {}   # part -> canonical inverse
 _MUL_CACHE_LIMIT = int(os.environ.get("ACCEPTCERT_MULCACHE", "400000"))
+
+
+def _clear_tables() -> None:
+    _PARTS.clear()
+    _MUL_CACHE.clear()
+    _INV_CACHE.clear()
+
+
+def _intern(part):
+    """The canonical object equal to ``part`` (``part`` itself when new)."""
+    got = _PARTS.get(part)
+    if got is None:
+        if len(_PARTS) >= _MUL_CACHE_LIMIT:
+            _clear_tables()
+        _PARTS[part] = got = part
+    return got
 
 
 def _memo_mul(a, b):
     key = (a, b)
     got = _MUL_CACHE.get(key)
     if got is None:
-        got = a * b
         if len(_MUL_CACHE) >= _MUL_CACHE_LIMIT:
-            _MUL_CACHE.clear()
+            _clear_tables()
+        got = _intern(a * b)
         _MUL_CACHE[key] = got
+    return got
+
+
+def _memo_inv(part):
+    """Canonical inverse of a unit quaternion, unitary or rotation matrix."""
+    got = _INV_CACHE.get(part)
+    if got is None:
+        if len(_INV_CACHE) >= _MUL_CACHE_LIMIT:
+            _clear_tables()
+        inv = part.conj() if isinstance(part, Quat) else part.conj_transpose()
+        got = _intern(inv)
+        _INV_CACHE[part] = got
     return got
 
 
@@ -283,19 +335,18 @@ class AmbientElement:
         self._key = None
         self._hash = None
 
+    @classmethod
+    def make(cls, parts) -> "AmbientElement":
+        """The element with these parts, each replaced by its canonical object."""
+        return cls(tuple(_intern(p) for p in parts))
+
     def __mul__(self, other: "AmbientElement") -> "AmbientElement":
         return AmbientElement(tuple(
             _memo_mul(x, y) for x, y in zip(self.parts, other.parts)
         ))
 
     def inverse(self) -> "AmbientElement":
-        out = []
-        for part in self.parts:
-            if isinstance(part, Quat):
-                out.append(part.conj())
-            else:
-                out.append(part.conj_transpose())
-        return AmbientElement(tuple(out))
+        return AmbientElement(tuple(_memo_inv(p) for p in self.parts))
 
     def is_identity(self) -> bool:
         for part in self.parts:
@@ -406,10 +457,10 @@ class GroupSpec:
         if validate:
             for factor, part in zip(self.factors, parts):
                 factor.validate(part)
-        return AmbientElement(parts)
+        return AmbientElement.make(parts)
 
     def identity_ambient(self) -> AmbientElement:
-        return AmbientElement(tuple(f.identity() for f in self.factors))
+        return AmbientElement.make(f.identity() for f in self.factors)
 
     def _validate_central(self, elem: AmbientElement) -> None:
         for factor, part in zip(self.factors, elem.parts):
@@ -468,18 +519,15 @@ class GroupSpec:
 
     @staticmethod
     def ambient_of(x) -> AmbientElement:
+        """The ambient representative of x (for a coset, its canonical one)."""
         return x.rep if isinstance(x, QuotElement) else x
-
-    def canonical_lift(self, x) -> AmbientElement:
-        """The canonical ambient representative (minimal in its Z-coset)."""
-        return self.ambient_of(x)
 
     # centers
 
     def ambient_center_elements(self) -> tuple:
         """All central elements of the ambient product (a finite set)."""
         per_factor = [f.center_parts() for f in self.factors]
-        return tuple(AmbientElement(combo) for combo in itertools.product(*per_factor))
+        return tuple(AmbientElement.make(combo) for combo in itertools.product(*per_factor))
 
     def center_elements(self) -> tuple:
         """Center of the group itself: ambient center modulo Z, deduplicated.

@@ -123,8 +123,8 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
         if len(a_list) != n or len(b_list) != n:
             raise GroupError("lift override must align with the source elements")
     else:
-        a_list = [g.canonical_lift(pair.f.images[i]) for i in range(n)]
-        b_list = [g.canonical_lift(pair.fprime.images[i]) for i in range(n)]
+        a_list = [g.ambient_of(pair.f.images[i]) for i in range(n)]
+        b_list = [g.ambient_of(pair.fprime.images[i]) for i in range(n)]
 
     zs = g.z_subgroup
     nz = len(zs)
@@ -133,14 +133,6 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
     z_index = {z: k for k, z in enumerate(zs)}
     z_mul = [[z_index[zs[i] * zs[j]] for j in range(nz)] for i in range(nz)]
     z_inv = [row.index(0) for row in z_mul]
-
-    # preimage groups: closure recovers Z . lifts exactly
-    p_group = closure(list(dict.fromkeys(a_list)) + list(zs), cap=cap)
-    if p_group.order != pair.f.image_order() * nz:
-        raise LiftConsistencyError("preimage closure has unexpected order")
-    p_prime = closure(list(dict.fromkeys(b_list)) + list(zs), cap=cap)
-    if p_prime.order != pair.fprime.image_order() * nz:
-        raise LiftConsistencyError("second preimage closure has unexpected order")
 
     mul_tab = [[src.mul_idx(i, j) for j in range(n)] for i in range(n)]
     a_inv = [x.inverse() for x in a_list]
@@ -191,6 +183,17 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
         frontier = nxt
     if not all(visited):
         raise GroupError("recorded generators do not generate the source group")
+
+    # preimage groups Z . lifts.  The cocycle tables show a(x) a(y) in
+    # Z a(xy), so by induction on word length every lift lies in Z times a
+    # product of seed generator lifts: those lifts and Z generate the whole
+    # preimage
+    p_group = closure([a_list[gi] for gi in seed_gens] + list(zs), cap=cap)
+    if p_group.order != pair.f.image_order() * nz:
+        raise LiftConsistencyError("preimage closure has unexpected order")
+    p_prime = closure([b_list[gi] for gi in seed_gens] + list(zs), cap=cap)
+    if p_prime.order != pair.fprime.image_order() * nz:
+        raise LiftConsistencyError("second preimage closure has unexpected order")
 
     # z is pinned on the identity and on the kernel by well-definedness of F
     z_at_ident = z_index.get(a_list[ident] * b_inv[ident])
@@ -266,7 +269,7 @@ def _ambient_lift_hom(h: Hom, g: GroupSpec) -> Hom:
     if not gens:
         raise OracleDomainError("source group records no generators")
     zs = g.z_subgroup
-    base = [g.canonical_lift(h.apply_idx(i)) for i in gens]
+    base = [g.ambient_of(h.apply_idx(i)) for i in gens]
     for combo in itertools.product(range(len(zs)), repeat=len(gens)):
         images = [zs[k] * x for k, x in zip(combo, base)]
         try:

@@ -390,11 +390,24 @@ def decide_eq2(fam: SymPairFamily, ang: Angle) -> Eq2Verdict:
     return Eq2Fails(fam, ang, translates_checked=len(cz))
 
 
+def scan_grid(denominators) -> list:
+    """The angles 2*pi*k/m a scan visits, as (k, m) pairs ordered by (m, k)."""
+    return [(k, m) for m in sorted(set(int(m) for m in denominators)) for k in range(m)]
+
+
+def closed_form_outcome(kind: str, k: int, m: int) -> str:
+    """The classification's outcome at angle 2*pi*k/m: "fails" or "holds".
+
+    The reflection-fixed family fails exactly at the quarter and
+    three-quarter turns (k/m = 1/4 or 3/4); the last-vector stabilizer
+    never fails.
+    """
+    if kind == KIND_O_ODD and 4 * k in (m, 3 * m):
+        return "fails"
+    return "holds"
+
+
 def scan_angles(kind: str, n: int, denominators) -> list:
-    """decide_eq2 over every angle 2*pi*k/m, ordered by (m, k)."""
+    """decide_eq2 over every angle of scan_grid(denominators), in its order."""
     fam = SymPairFamily(kind, n)
-    out = []
-    for m in sorted(set(int(m) for m in denominators)):
-        for k in range(m):
-            out.append(decide_eq2(fam, Angle.make(k, m)))
-    return out
+    return [decide_eq2(fam, Angle.make(k, m)) for k, m in scan_grid(denominators)]

@@ -43,6 +43,8 @@ from .grpcore import (
     GroupError,
     GroupSpec,
     Quat,
+    _intern,
+    _memo_inv,
     _memo_mul,
     adjoint_to_so3,
     sp1_factor,
@@ -253,7 +255,9 @@ class RotationTriple:
     and inverses, which lets preimage constructions pick an exact lift off
     the shelf instead of extracting square roots from matrices.  Two equal
     triples may carry lifts differing by signs; any lift is as good as any
-    other everywhere they are used.
+    other everywhere they are used.  Every rotation and lift held here is
+    the canonical object of grpcore's part table (see its module docstring),
+    so the lookups keyed on triples compare parts by identity.
     """
 
     __slots__ = ("rots", "quats", "_hash")
@@ -273,8 +277,8 @@ class RotationTriple:
 
     def inverse(self) -> "RotationTriple":
         return RotationTriple(
-            tuple(r.transpose() for r in self.rots),
-            tuple(q.conj() for q in self.quats),
+            tuple(_memo_inv(r) for r in self.rots),
+            tuple(_memo_inv(q) for q in self.quats),
         )
 
     def is_identity(self) -> bool:
@@ -306,7 +310,8 @@ def rotation_triple(quats) -> RotationTriple:
     for q in quats:
         if not isinstance(q, Quat) or not q.is_unit():
             raise GroupError("rotation lifts must be unit quaternions")
-    return RotationTriple(tuple(adjoint_to_so3(q) for q in quats), quats)
+    return RotationTriple(tuple(_intern(adjoint_to_so3(q)) for q in quats),
+                          tuple(_intern(q) for q in quats))
 
 
 def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
@@ -377,7 +382,7 @@ class CentralizerSplit:
 def _has_centralizing_lift(trip: RotationTriple, gen_lifts, central_set) -> bool:
     for signs in itertools.product((1, -1), repeat=3):
         parts = tuple(q if s == 1 else -q for q, s in zip(trip.quats, signs))
-        cand = AmbientElement(parts)
+        cand = AmbientElement.make(parts)
         inv = cand.inverse()
         if all((cand * x) * (inv * x.inverse()) in central_set for x in gen_lifts):
             return True
@@ -416,7 +421,8 @@ def compute_X(g: GroupSpec, gbar: FinGroup):
         per_slot.append(pairs)
 
     triples = [
-        RotationTriple(tuple(m for m, _ in combo), tuple(q for _, q in combo))
+        RotationTriple(tuple(_intern(m) for m, _ in combo),
+                       tuple(_intern(q) for _, q in combo))
         for combo in itertools.product(*per_slot)
     ]
     for trip in triples:
@@ -571,8 +577,8 @@ def build_witness_pair(report: CriterionReport, g: GroupSpec, gbar: FinGroup,
 
     The source is the full preimage of the rotation group in the target; the
     first map is the inclusion and the second multiplies each element by the
-    missed character of its image coset.  Both maps are verified on all
-    source pairs.  Downstream the pair must test element-conjugate and not
+    missed character of its image coset.  The second map is verified as a
+    homomorphism (fingrp.Hom.verify).  Downstream the pair must test element-conjugate and not
     globally conjugate; that cross-check lives with the callers.
     """
     if report.witness_chi is None:

@@ -70,9 +70,13 @@ def test_run_scan_certificates():
     o_odd = run("scf_o_odd", {"n": 1})
     assert o_odd.passed
     assert o_odd.verdicts["failing"] == [[1, 4], [3, 4], [2, 8], [6, 8]]
+    assert o_odd.expected["failing"] == o_odd.verdicts["failing"]
     so_odd = run("scf_so_odd", {"n": 1})
     assert so_odd.passed
     assert so_odd.verdicts["failing"] == []
+    other = run("scf_o_odd", {"n": 1, "denominators": [12, 3]})
+    assert other.passed
+    assert other.expected["failing"] == [[3, 12], [9, 12]]
 
 
 def test_run_sanity_certificate():
@@ -98,6 +102,30 @@ def test_param_validation():
         run("scf_o_odd", {"n": 0})
     with pytest.raises(CertParamError):
         run("sanity_acceptable", {"group": "so3", "count": 1, "seed": 1})
+
+
+@pytest.mark.parametrize("cert_id, params", [
+    ("sp1_diag", {"m": 4}),
+    ("sp1_diag", {"m": 4, "eps": 1.0}),
+    ("sp1_diag", {"m": True, "eps": 1}),
+    ("sp1_diag", {"m": 4, "eps": 1, "typo": 1}),
+    ("su4_mod_center", {"k": 1}),
+    ("scf_o_odd", {"n": 1, "denominators": "ab"}),
+    ("scf_o_odd", {"n": 1, "denominators": [4, "8"]}),
+    ("scf_o_odd", {"n": 1, "denominators": []}),
+    ("scf_so_odd", {"n": 1, "denominators": [0]}),
+    ("sanity_acceptable", {"group": 4, "count": 1, "seed": 1}),
+    ("sanity_acceptable", {"group": "su4", "count": 1}),
+])
+def test_param_schema(cert_id, params):
+    with pytest.raises(CertParamError):
+        run(cert_id, params)
+
+
+def test_default_grids_fit_their_schemas():
+    for cert in registry():
+        for params in cert.param_grid:
+            cert.check_params(params)
 
 
 def drop_seconds(results):

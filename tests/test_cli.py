@@ -171,3 +171,30 @@ def test_max_closure_flag(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "crit3a1", "--max-closure", "-3")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid, needle", [
+    ({"sp1_diag": [{"m": 4}]}, "'eps'"),
+    ({"scf_o_odd": [{"n": 1, "denominators": "ab"}]}, "'denominators'"),
+    ({"sp1_diag": [{"m": 4, "eps": 1.0}]}, "'eps'"),
+    ({"sp1_diag": [{"m": 4, "eps": 1, "typo": 1}]}, "'typo'"),
+])
+def test_verify_params_schema_rejects_with_exit_2(tmp_path, capsys, grid, needle):
+    params = tmp_path / "grid.json"
+    params.write_text(json.dumps(grid))
+    code, out, err = run_cli(capsys, "verify", *grid, "--params", str(params))
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err and not out
+
+
+def test_verify_scan_expectation_follows_denominators(tmp_path, capsys):
+    params = tmp_path / "grid.json"
+    params.write_text(json.dumps(
+        {"scf_o_odd": [{"n": 1, "denominators": [3, 12]}]}))
+    code, out, err = run_cli(capsys, "verify", "scf_o_odd", "--params", str(params),
+                             "--json")
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert result["expected"]["failing"] == [[3, 12], [9, 12]]
+    assert result["verdicts"]["failing"] == [[3, 12], [9, 12]]

@@ -1,8 +1,11 @@
 """Finite group closures, multiplication tables, homomorphisms, quotients."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acceptcert import fingrp
 from acceptcert.exactalg import ExactMatrix, ONE, cyc_i, cyc_rational
 from acceptcert.fingrp import (
     ClosureCapError,
@@ -13,6 +16,7 @@ from acceptcert.fingrp import (
     NotAHomomorphismError,
     centralizer_in,
     closure,
+    first_failing_pair,
     formal_group,
     hom_from_gens,
     hom_set_to_elem_abelian_2,
@@ -175,3 +179,116 @@ def test_table_laws(name, a, b, c):
     assert g.mul_idx(g.mul_idx(i, j), k) == g.mul_idx(i, g.mul_idx(j, k))
     assert g.mul_idx(i, g.inv_idx(i)) == g.identity_index
     assert g.mul_idx(g.identity_index, i) == i
+
+
+# --- generator-only verification against the full pairs check -----------------
+
+
+def _extend_along_generators(src, gen_images, ident_image):
+    """Images of a map defined on the generators, spread along right multiplication.
+
+    The result agrees with a homomorphism exactly when the generator images
+    satisfy the relations of the source; otherwise it is some total map.
+    """
+    images = [None] * src.order
+    images[src.identity_index] = ident_image
+    frontier = [src.identity_index]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in src.gen_indices:
+                j = src.mul_idx(i, g)
+                if images[j] is None:
+                    images[j] = images[i] * gen_images[g]
+                    nxt.append(j)
+        frontier = nxt
+    return images
+
+
+def _verdict(src, images):
+    """(verdict of Hom.verify, whether its reported pair really fails)."""
+    try:
+        Hom(src, None, tuple(images))
+    except NotAHomomorphismError as exc:
+        i, j = exc.pair
+        return False, images[i] * images[j] != images[src.mul_idx(i, j)]
+    return True, True
+
+
+VERIFY_SOURCES = {
+    "c2xc4": lambda: formal_group(FormalGroupSpec.cyclic_product(2, 4)),
+    "c3xc3": lambda: formal_group(FormalGroupSpec.cyclic_product(3, 3)),
+    "ext2(2,4)": lambda: formal_group(FormalGroupSpec.central_ext2(2, 4)),
+    "ext2(4,2)": lambda: formal_group(FormalGroupSpec.central_ext2(4, 2)),
+    "q8": quaternion_group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SOURCES))
+def test_generator_check_agrees_with_full_check(name):
+    src = VERIFY_SOURCES[name]()
+    targets = [quaternion_group(), formal_group(FormalGroupSpec.central_ext2(2, 2))]
+    rng = random.Random(name)
+    seen = set()
+    for trial in range(60):
+        target = targets[trial % 2]
+        gen_images = {g: rng.choice(target.elements) for g in src.gen_indices}
+        images = _extend_along_generators(src, gen_images,
+                                          target.elements[target.identity_index])
+        if trial % 3 == 0:
+            # break the map at one element that is not the identity
+            k = rng.choice([i for i in range(src.order) if i != src.identity_index])
+            images[k] = rng.choice(target.elements)
+        is_hom, pair_fails = _verdict(src, images)
+        assert is_hom == (first_failing_pair(src, images) is None)
+        assert pair_fails
+        seen.add(is_hom)
+    assert seen == {True, False}
+
+
+def test_verify_falls_back_when_generators_do_not_generate(monkeypatch):
+    full = formal_group(FormalGroupSpec.cyclic_product(4, 4))
+    g1, g2 = full.gen_indices
+    calls = []
+    reference = fingrp.first_failing_pair
+
+    def spy(src, images):
+        calls.append(src.order)
+        return reference(src, images)
+
+    monkeypatch.setattr(fingrp, "first_failing_pair", spy)
+
+    def good_images(src):
+        # (a, b) -> i^a j^(2b): a homomorphism of C4 x C4 onto <i> x <-1> in Sp(1)
+        out = []
+        for x in src.elements:
+            a, b = x.coords
+            q = Quat.one()
+            for _ in range(a):
+                q = q * QUAT_I
+            if b % 2:
+                q = -q
+            out.append(q)
+        return out
+
+    Hom(full, None, tuple(good_images(full)))
+    assert calls == []
+
+    # only the first generator recorded: it reaches the coords (a, 0) and no more
+    partial = FinGroup(full.elements, gen_indices=(g1,))
+    images = good_images(partial)
+    Hom(partial, None, tuple(images))
+    assert calls == [16]
+    bad = list(images)
+    bad[partial.idx(full.elements[g2])] = QUAT_J
+    with pytest.raises(NotAHomomorphismError) as info:
+        Hom(partial, None, tuple(bad))
+    assert calls == [16, 16]
+    i, j = info.value.pair
+    assert bad[i] * bad[j] != bad[partial.mul_idx(i, j)]
+
+    # no generators recorded at all
+    bare = FinGroup(full.elements)
+    with pytest.raises(NotAHomomorphismError):
+        Hom(bare, None, tuple(bad))
+    assert calls == [16, 16, 16]

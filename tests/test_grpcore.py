@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acceptcert import grpcore
+from acceptcert.certsuite import run
 from acceptcert.exactalg import ExactMatrix, ONE, ZERO, cyc_half, cyc_i, cyc_rational
 from acceptcert.grpcore import (
     AmbientElement,
@@ -140,3 +142,44 @@ def test_mixed_factor_group():
     sq = el * el
     assert not el.is_identity()
     assert (sq * sq).is_identity()
+
+
+# --- hash-consed parts -------------------------------------------------------------
+
+
+def test_equal_parts_share_one_object():
+    g = GroupSpec((sp1_factor(), su_factor(2)))
+    m = ExactMatrix.diagonal([cyc_i(), -cyc_i()])
+    x = g.element((QUAT_I, m))
+    y = g.element((Quat.make(ZERO, ONE, ZERO, ZERO), ExactMatrix.diagonal([cyc_i(), -cyc_i()])))
+    assert all(a is b for a, b in zip(x.parts, y.parts))
+    # repeated products, and distinct pairs with one product, give one object
+    assert all(a is b for a, b in zip((x * y).parts, (x * y).parts))
+    w = g.element((-QUAT_I, m.scaled(cyc_rational(-1))))
+    assert all(a is b for a, b in zip((x * x).parts, (w * w).parts))
+    # inverses are memoized and canonical: x has order 4, so x^-1 = x^3
+    assert all(a is b for a, b in zip(x.inverse().parts, y.inverse().parts))
+    assert all(a is b for a, b in zip(x.inverse().parts, ((x * x) * x).parts))
+    assert all(a is b for a, b in zip(g.identity_ambient().parts,
+                                      (x * x.inverse()).parts))
+
+
+def test_uninterned_parts_still_compare_equal():
+    g = GroupSpec((sp1_factor(),))
+    fresh = AmbientElement((Quat.make(ZERO, ONE, ZERO, ZERO),))
+    canonical = g.element((QUAT_I,))
+    assert fresh.parts[0] is not canonical.parts[0]
+    assert fresh == canonical and hash(fresh) == hash(canonical)
+    assert (fresh * fresh).parts[0] is (canonical * canonical).parts[0]
+
+
+def test_interning_is_transparent_when_tables_clear_on_every_miss(monkeypatch):
+    cases = (("crit_3a1", None), ("psu_odd_prime", {"p": 3}))
+    default = [run(cid, params) for cid, params in cases]
+    monkeypatch.setattr(grpcore, "_MUL_CACHE_LIMIT", 1)
+    grpcore._clear_tables()
+    for want, (cid, params) in zip(default, cases):
+        got = run(cid, params)
+        assert len(grpcore._PARTS) <= 1 and len(grpcore._MUL_CACHE) <= 1
+        assert got.passed and want.passed
+        assert (got.verdicts, got.counts) == (want.verdicts, want.counts)
