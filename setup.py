@@ -1,20 +1,5 @@
-"""Build script.
-
-The compiled kernel is optional: if Cython (or a C compiler) is missing the
-package installs pure-Python only and selects the fallback kernel at import.
-"""
+"""Build script: a pure-Python package, configured in pyproject.toml."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/acceptcert/exactalg/_fastkernel.pyx"],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build environment dependent
-    print("acceptcert: compiled kernel skipped (%s); pure-Python fallback will be used" % exc)
-
-setup(ext_modules=ext_modules)
+setup()

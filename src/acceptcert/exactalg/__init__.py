@@ -1,8 +1,7 @@
 """Exact arithmetic layer: cyclotomic scalars and exact linear algebra.
 
-The scalar kernels have a compiled (Cython) implementation with a pure-Python
-fallback; ``KERNEL_NAME`` says which one is active.  Set ACCEPTCERT_PURE=1
-before import to force the fallback.
+The scalar kernels are plain Python (``_purekernel``); ``KERNEL_NAME`` is
+always ``"pure"``.
 """
 
 from .cyclotomic import (

@@ -1,23 +1,9 @@
-"""Kernel selection.
+"""The arithmetic kernel used by :mod:`acceptcert.exactalg.cyclotomic`.
 
-The compiled kernel is used when present; ``ACCEPTCERT_PURE=1`` forces the
-pure-Python fallback (the benchmark uses this to compare the two).
+A plain re-export of :mod:`acceptcert.exactalg._purekernel`; there is one
+kernel, written in Python.
 """
 
-import os
+from ._purekernel import KERNEL_NAME, add, apply_rows, mul_mod, normalize, scale, sub
 
-if os.environ.get("ACCEPTCERT_PURE"):
-    from . import _purekernel as _impl
-else:
-    try:
-        from . import _fastkernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _purekernel as _impl
-
-KERNEL_NAME = _impl.KERNEL_NAME
-normalize = _impl.normalize
-add = _impl.add
-sub = _impl.sub
-scale = _impl.scale
-mul_mod = _impl.mul_mod
-apply_rows = _impl.apply_rows
+__all__ = ["KERNEL_NAME", "add", "apply_rows", "mul_mod", "normalize", "scale", "sub"]

@@ -6,8 +6,8 @@ modulo the conductor's cyclotomic polynomial) and ``den`` is a positive
 integer with ``gcd(*nums, den) == 1``.  ``red`` is the tuple of reduction
 rows: ``red[j]`` gives the basis expansion of ``x**(deg+j)``.
 
-The compiled kernel in ``_fastkernel.pyx`` implements exactly the same
-functions; :mod:`acceptcert.exactalg._kernel` picks one at import time.
+``KERNEL_NAME`` is kept as public API (``acceptcert.KERNEL_NAME``) and is
+always ``"pure"``.
 """
 
 from math import gcd

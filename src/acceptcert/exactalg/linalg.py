@@ -1,9 +1,18 @@
-"""Exact dense matrices over cyclotomic scalars, plus subspace machinery.
+"""Exact matrices over cyclotomic scalars, plus subspace machinery.
 
 Everything here is elementary row-reduction style linear algebra done with
 :class:`~acceptcert.exactalg.cyclotomic.CycNum` entries, so results are exact.
-Characteristic polynomials use the Faddeev-LeVerrier recurrence (division-free
-apart from rational scalar divisions), determinants and inverses come from it.
+Matrices are stored densely, but the kernels skip exact zeros structurally:
+the product walks only the nonzero entries of each row of the right factor,
+``commutant`` assembles its constraints from the nonzero entries only, and
+determinants and row reductions update a row only at the nonzero columns of
+the pivot row.  Since ``v + 0*w = v`` exactly, skipping a zero changes no
+value, so sparse inputs (diagonal, monomial and signed-permutation matrices)
+cost in proportion to their nonzeros while dense ones cost what they did.
+
+Determinants use Gaussian elimination (O(n^3)).  Characteristic polynomials
+use the Faddeev-LeVerrier recurrence (division-free apart from rational
+scalar divisions), and inverses come from it by Cayley-Hamilton.
 
 Subspaces of an ambient coordinate space are stored by their reduced row
 echelon basis, which is unique, so two Subspace objects are equal iff they
@@ -88,21 +97,26 @@ class ExactMatrix:
                                 % (self.rows, self.cols, other.rows, other.cols))
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
+        # columns of the nonzero entries in each row of the right factor, found
+        # once (a loop, not a nested comprehension: pstats keys code objects by
+        # file, line and name, so two comprehensions on one line collide)
+        b_support = []
+        for t in range(k):
+            base = t * m
+            b_support.append([j for j in range(m) if not b[base + j].is_zero()])
         out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = None
-                for t in range(k):
-                    av = arow[t]
-                    if av.is_zero():
-                        continue
-                    bv = b[t * m + j]
-                    if bv.is_zero():
-                        continue
-                    term = av * bv
-                    acc = term if acc is None else acc + term
-                out.append(ZERO if acc is None else acc)
+            acc = [None] * m
+            for t in range(k):
+                av = a[i * k + t]
+                if av.is_zero():
+                    continue
+                base = t * m
+                for j in b_support[t]:
+                    term = av * b[base + j]
+                    cur = acc[j]
+                    acc[j] = term if cur is None else cur + term
+            out.extend(ZERO if v is None else v for v in acc)
         return ExactMatrix(n, m, tuple(out))
 
     def __add__(self, other):
@@ -126,6 +140,11 @@ class ExactMatrix:
         c = _as_cyc(scalar)
         return ExactMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
+    def _require_square(self, what: str):
+        if self.rows != self.cols:
+            raise ExactAlgError("%s needs a square matrix, got %dx%d"
+                                % (what, self.rows, self.cols))
+
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ExactAlgError("matrix shape mismatch")
@@ -142,7 +161,7 @@ class ExactMatrix:
         return self.transpose().conj()
 
     def trace(self) -> CycNum:
-        assert self.rows == self.cols
+        self._require_square("trace")
         acc = ZERO
         for i in range(self.rows):
             acc = acc + self.entries[i * self.cols + i]
@@ -152,9 +171,11 @@ class ExactMatrix:
 
     def char_poly(self) -> tuple:
         """Coefficients of det(xI - M), descending, starting with the monic 1."""
-        assert self.rows == self.cols
+        self._require_square("char_poly")
         n = self.rows
         coeffs = [ONE]
+        if n == 0:
+            return tuple(coeffs)
         mk = self
         ident = ExactMatrix.identity(n)
         ck = -mk.trace()
@@ -166,14 +187,57 @@ class ExactMatrix:
         return tuple(coeffs)
 
     def det(self) -> CycNum:
-        if self.rows == 0:
-            return ONE
-        cp = self.char_poly()
-        last = cp[-1]
-        return last if self.rows % 2 == 0 else -last
+        """Determinant by exact Gaussian elimination over the entries' field.
+
+        Soundness: the entries lie in a field, so every nonzero pivot is
+        invertible.  Subtracting a multiple of the pivot row from a lower row
+        leaves det unchanged, and swapping two rows negates it; so ``result``
+        times det of the remaining lower-right block is det(M) throughout.
+        After the last column the rows are upper triangular and det is the
+        product of the pivots, with the sign flipped once per swap.  If no
+        row at or below the diagonal has a nonzero entry in column ``col``,
+        the lower-right block has a zero first column, so det(M) = 0.
+
+        Only the lower-right block is ever read again, so a row is updated
+        only at the pivot row's nonzero columns right of the pivot
+        (``v - f*0 = v``); the entries left of the block, which are zero in
+        the matrix the loop stands for, are not written.
+        """
+        self._require_square("det")
+        n = self.rows
+        work = [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
+        result = ONE
+        for col in range(n):
+            piv = None
+            for r in range(col, n):
+                if not work[r][col].is_zero():
+                    piv = r
+                    break
+            if piv is None:
+                return ZERO
+            if piv != col:
+                work[col], work[piv] = work[piv], work[col]
+                result = -result
+            prow = work[col]
+            p = prow[col]
+            result = result * p
+            support = [(j, prow[j]) for j in range(col + 1, n) if not prow[j].is_zero()]
+            if not support:
+                continue
+            inv = p.inverse()
+            for r in range(col + 1, n):
+                row = work[r]
+                v = row[col]
+                if v.is_zero():
+                    continue
+                f = v * inv
+                for j, w in support:
+                    row[j] = row[j] - f * w
+        return result
 
     def inverse(self) -> "ExactMatrix":
         """Inverse via Cayley-Hamilton: needs nonzero determinant."""
+        self._require_square("inverse")
         cp = self.char_poly()
         c_n = cp[-1]
         if c_n.is_zero():
@@ -207,7 +271,8 @@ class ExactMatrix:
         return all(v.is_real() for v in self.entries)
 
     def commutes_with(self, other: "ExactMatrix") -> bool:
-        return (self * other - other * self).is_zero()
+        # entries are canonical, so AB - BA = 0 exactly when AB == BA entrywise
+        return self * other == other * self
 
     # --- canonical order, equality, serialization --------------------------
 
@@ -272,11 +337,19 @@ def rref(vectors) -> tuple:
             continue
         work[rank], work[piv] = work[piv], work[rank]
         inv = work[rank][col].inverse()
-        work[rank] = [inv * v for v in work[rank]]
+        prow = [inv * v for v in work[rank]]
+        work[rank] = prow
+        # eliminate only where the pivot row is nonzero: v - f*0 = v
+        support = [(j, w) for j, w in enumerate(prow) if not w.is_zero()]
         for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
+            if r == rank:
+                continue
+            row = work[r]
+            f = row[col]
+            if f.is_zero():
+                continue
+            for j, w in support:
+                row[j] = row[j] - f * w
         pivots.append(col)
         rank += 1
         if rank == len(work):
@@ -287,12 +360,13 @@ def rref(vectors) -> tuple:
 class Subspace:
     """A linear subspace of an ambient coordinate space, in canonical RREF form."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_supports")
 
     def __init__(self, ambient: int, basis: tuple, pivots: tuple):
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
+        self._supports = None
 
     @classmethod
     def from_vectors(cls, vectors, ambient: int) -> "Subspace":
@@ -311,10 +385,18 @@ class Subspace:
         vec = [_as_cyc(v) for v in vector]
         if len(vec) != self.ambient:
             raise ExactAlgError("vector length does not match ambient dimension")
-        for row, piv in zip(self.basis, self.pivots):
+        supports = self._supports
+        if supports is None:
+            # nonzero (column, value) pairs of each basis row, built once
+            supports = []
+            for row in self.basis:
+                supports.append(tuple((j, w) for j, w in enumerate(row) if not w.is_zero()))
+            supports = self._supports = tuple(supports)
+        for support, piv in zip(supports, self.pivots):
             c = vec[piv]
             if not c.is_zero():
-                vec = [v - c * w for v, w in zip(vec, row)]
+                for j, w in support:
+                    vec[j] = vec[j] - c * w
         return all(v.is_zero() for v in vec)
 
     def __eq__(self, other):
@@ -359,22 +441,32 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
 
 def nullspace(m: ExactMatrix) -> Subspace:
     """Kernel {x : M x = 0} as a Subspace of dimension m.cols."""
-    rows = [m.row(i) for i in range(m.rows)]
+    return _kernel([m.row(i) for i in range(m.rows)], m.cols)
+
+
+def _kernel(rows, width: int) -> Subspace:
+    """Vectors x of length ``width`` with sum_j row[j] * x[j] = 0 for every row."""
     basis, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    free = [j for j in range(width) if j not in pivot_set]
     vectors = []
     for f in free:
-        vec = [ZERO] * m.cols
+        vec = [ZERO] * width
         vec[f] = ONE
         for row, piv in zip(basis, pivots):
             vec[piv] = -row[f]
         vectors.append(tuple(vec))
-    return Subspace.from_vectors(vectors, m.cols)
+    return Subspace.from_vectors(vectors, width)
 
 
 def commutant(mats) -> Subspace:
-    """Matrices X (flattened row-major, ambient N*N) with XM = MX for all inputs."""
+    """Matrices X (flattened row-major, ambient N*N) with XM = MX for all inputs.
+
+    Entry (i, j) of XM - MX is the linear form
+    sum_b m[b, j] X[i, b] - sum_a m[i, a] X[a, j], so each constraint row is
+    assembled from the nonzero entries of column j and row i of m only.
+    Rows that come out zero constrain nothing and are left out.
+    """
     mats = list(mats)
     if not mats:
         raise ExactAlgError("commutant of an empty family is the full space; pass [I]")
@@ -384,17 +476,25 @@ def commutant(mats) -> Subspace:
             raise ExactAlgError("commutant needs square matrices of one size")
     constraint_rows = []
     for m in mats:
+        row_support = [[] for _ in range(n)]
+        col_support = [[] for _ in range(n)]
+        for flat, v in enumerate(m.entries):
+            if not v.is_zero():
+                r, c = divmod(flat, n)
+                row_support[r].append((c, v))
+                col_support[c].append((r, v))
         for i in range(n):
             for j in range(n):
-                row = [ZERO] * (n * n)
-                # entry (i, j) of XM - MX as a linear form in X[a, b]
-                for b in range(n):
-                    row[i * n + b] = row[i * n + b] + m[b, j]
-                for a in range(n):
-                    row[a * n + j] = row[a * n + j] - m[i, a]
-                constraint_rows.append(row)
-    stacked = ExactMatrix.make(constraint_rows)
-    return nullspace(stacked)
+                form = {i * n + b: v for b, v in col_support[j]}
+                for a, v in row_support[i]:
+                    pos = a * n + j
+                    form[pos] = form[pos] - v if pos in form else -v
+                if any(not v.is_zero() for v in form.values()):
+                    row = [ZERO] * (n * n)
+                    for pos, v in form.items():
+                        row[pos] = v
+                    constraint_rows.append(tuple(row))
+    return _kernel(constraint_rows, n * n)
 
 
 def flatten_matrix(m: ExactMatrix) -> tuple:

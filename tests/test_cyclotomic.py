@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import acceptcert
 from acceptcert.exactalg import (
     CONDUCTOR_CAP,
     ConductorCapError,
@@ -21,6 +22,11 @@ from acceptcert.exactalg import (
 )
 
 CONDUCTORS = (1, 3, 4, 5, 8, 12, 20)
+
+
+def test_kernel_name_is_the_pure_kernel():
+    # public API: there is one scalar kernel, written in Python
+    assert acceptcert.KERNEL_NAME == "pure"
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 

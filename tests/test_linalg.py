@@ -3,8 +3,15 @@
 The pinned coefficient lists and commutant dimensions were computed
 independently with sympy (tests/oracles/charpoly_tables.py and
 tests/oracles/commutant_dims.py) and copied here.
+
+The zero-skipping kernels (product, elimination det, row reduction,
+commutant assembly) are cross-checked against textbook dense versions kept
+in this file, on sparse and dense inputs alike.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +26,7 @@ from acceptcert.exactalg import (
     commutant,
     cyc_i,
     cyc_rational,
+    cyc_sqrt2,
     cyc_zeta,
     flatten_matrix,
     nullspace,
@@ -228,3 +236,248 @@ def test_charpoly_constant_term_is_signed_det(m):
     assert poly[0] == ONE
     # degree 3: det enters the constant coefficient with sign (-1)^3
     assert poly[-1] == -m.det()
+
+
+# --- shape and size edge cases ---------------------------------------------------
+
+RECT = ExactMatrix.make([[1, 2, 3], [4, 5, 6]])
+EMPTY = ExactMatrix(0, 0, ())
+
+
+@pytest.mark.parametrize("method", ["det", "char_poly", "trace", "inverse"])
+def test_square_only_methods_reject_rectangular_input(method):
+    with pytest.raises(ExactAlgError, match="needs a square matrix"):
+        getattr(RECT, method)()
+
+
+def test_square_check_survives_optimized_mode():
+    # the check must not be an assert, which python -O strips
+    code = ("from acceptcert.exactalg import ExactMatrix, ExactAlgError\n"
+            "m = ExactMatrix.make([[1, 2, 3], [4, 5, 6]])\n"
+            "for name in ('det', 'char_poly', 'trace', 'inverse'):\n"
+            "    try:\n"
+            "        getattr(m, name)()\n"
+            "    except ExactAlgError as exc:\n"
+            "        assert 'needs a square matrix' in str(exc), exc\n"
+            "    else:\n"
+            "        raise SystemExit(name + ' accepted a 2x3 matrix')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_empty_matrix_invariants():
+    # det(x * I_0) is the empty product 1
+    assert EMPTY.char_poly() == (ONE,)
+    assert EMPTY.det() == ONE
+    assert EMPTY.trace() == ZERO
+    assert EMPTY.inverse() == EMPTY
+    assert EMPTY * EMPTY == EMPTY
+
+
+def test_det_does_not_use_char_poly(monkeypatch):
+    def refuse(self):
+        raise AssertionError("det went through char_poly")
+
+    monkeypatch.setattr(ExactMatrix, "char_poly", refuse)
+    m = ExactMatrix.make([[ZERO, ONE, rat(2)], [rat(3), ZERO, ONE], [ONE, ONE, ZERO]])
+    assert m.det() == rat(7)
+
+
+def test_det_sign_of_row_swaps():
+    swap = ExactMatrix.make([[ZERO, ONE], [ONE, ZERO]])
+    assert swap.det() == -ONE
+    cycle = cyclic_shift(3)
+    assert cycle.det() == ONE
+    assert cyclic_shift(4).det() == -ONE
+
+
+# --- dense references -------------------------------------------------------------
+
+
+def dense_product(a, b):
+    """Textbook triple loop, no zero skipping."""
+    return ExactMatrix(a.rows, b.cols, tuple(
+        sum((a[i, t] * b[t, j] for t in range(a.cols)), ZERO)
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def reference_det(m):
+    """det(M) = (-1)^n times the constant term of det(xI - M)."""
+    last = m.char_poly()[-1]
+    return last if m.rows % 2 == 0 else -last
+
+
+def dense_rref(vectors):
+    """Gauss-Jordan that updates every coordinate of every row."""
+    work = [list(v) for v in vectors]
+    width = len(work[0]) if work else 0
+    pivots = []
+    rank = 0
+    for col in range(width):
+        piv = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = work[rank][col].inverse()
+        work[rank] = [inv * v for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
+
+
+def dense_commutant(mats):
+    """Every linear form of XM - MX written out over all N*N coordinates."""
+    n = mats[0].rows
+    rows = []
+    for m in mats:
+        for i in range(n):
+            for j in range(n):
+                row = [ZERO] * (n * n)
+                for b in range(n):
+                    row[i * n + b] = row[i * n + b] + m[b, j]
+                for a in range(n):
+                    row[a * n + j] = row[a * n + j] - m[i, a]
+                rows.append(row)
+    return nullspace(ExactMatrix.make(rows))
+
+
+# --- sparse and dense matrix strategies -----------------------------------------
+
+# entries of conductors 1, 3, 4, 5 and 8 (lcm 120, within the conductor cap)
+NONZERO_SCALARS = [ONE, -ONE, rat(2), rat(Fraction(-1, 3)), I4, -I4, cyc_zeta(3),
+                   cyc_zeta(5) + ONE, cyc_sqrt2()]
+scalars = st.sampled_from([ZERO] * 3 + NONZERO_SCALARS)
+nonzero_scalars = st.sampled_from(NONZERO_SCALARS)
+
+
+@st.composite
+def dense_matrices(draw, rows, cols):
+    return ExactMatrix.make([[draw(scalars) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def monomial_matrices(draw, n, signed_only=False):
+    """One nonzero per row and column: diagonal, shift and (signed) permutation."""
+    perm = draw(st.permutations(range(n)))
+    values = st.sampled_from([ONE, -ONE]) if signed_only else nonzero_scalars
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = draw(values)
+    return ExactMatrix.make(rows)
+
+
+@st.composite
+def with_zero_line(draw, base):
+    """A matrix with one row or one column set to zero."""
+    m = draw(base)
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    k = draw(st.integers(0, min(m.rows, m.cols) - 1))
+    if draw(st.booleans()):
+        rows[k] = [ZERO] * m.cols
+    else:
+        for row in rows:
+            row[k] = ZERO
+    return ExactMatrix.make(rows)
+
+
+@st.composite
+def singular_matrices(draw, n):
+    """Last row a combination of the others, so the rank is below n."""
+    m = draw(dense_matrices(n, n))
+    rows = [list(m.row(i)) for i in range(n)]
+    coeffs = draw(st.lists(scalars, min_size=n - 1, max_size=n - 1))
+    rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO) for j in range(n)]
+    return ExactMatrix.make(rows)
+
+
+def square_matrices(n):
+    return st.one_of(
+        dense_matrices(n, n),
+        st.lists(scalars, min_size=n, max_size=n).map(ExactMatrix.diagonal),
+        monomial_matrices(n),
+        monomial_matrices(n, signed_only=True),
+        with_zero_line(dense_matrices(n, n)),
+        singular_matrices(n),
+    )
+
+
+sizes = st.integers(1, 4)
+
+
+@st.composite
+def chained_pairs(draw):
+    n, k, m = draw(sizes), draw(sizes), draw(sizes)
+    if n == k == m:
+        return draw(square_matrices(n)), draw(square_matrices(n))
+    left = draw(st.one_of(dense_matrices(n, k), with_zero_line(dense_matrices(n, k))))
+    right = draw(st.one_of(dense_matrices(k, m), with_zero_line(dense_matrices(k, m))))
+    return left, right
+
+
+@settings(max_examples=80, deadline=None)
+@given(chained_pairs())
+def test_product_matches_dense_triple_loop(pair):
+    a, b = pair
+    assert a * b == dense_product(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes.flatmap(square_matrices))
+def test_det_matches_char_poly_reference(m):
+    assert m.det() == reference_det(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: monomial_matrices(n, signed_only=True)))
+def test_signed_permutation_det_is_sign_times_parity(m):
+    n = m.rows
+    perm = [next(j for j in range(n) if not m[i, j].is_zero()) for i in range(n)]
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+    sign = ONE
+    for i in range(n):
+        sign = sign * m[i, perm[i]]
+    want = sign if inversions % 2 == 0 else -sign
+    assert m.det() == want == reference_det(m)
+
+
+@st.composite
+def vector_families(draw):
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    m = draw(st.one_of(dense_matrices(rows, width),
+                       with_zero_line(dense_matrices(rows, width)),
+                       monomial_matrices(width) if rows == width else dense_matrices(rows, width)))
+    return [m.row(i) for i in range(m.rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_families())
+def test_rref_matches_dense_elimination(vectors):
+    assert rref(vectors) == dense_rref(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_families(), st.data())
+def test_contains_matches_dense_rank(vectors, data):
+    width = len(vectors[0])
+    space = Subspace.from_vectors(vectors, width)
+    coeffs = data.draw(st.lists(scalars, min_size=len(vectors), max_size=len(vectors)))
+    inside = tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), ZERO)
+                   for j in range(width))
+    candidate = tuple(data.draw(st.lists(scalars, min_size=width, max_size=width)))
+    assert space.contains(inside)
+    base_rank = len(dense_rref(vectors)[0])
+    assert space.contains(candidate) == (len(dense_rref(vectors + [candidate])[0]) == base_rank)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(square_matrices(n), min_size=1, max_size=2)))
+def test_commutant_matches_dense_assembly(mats):
+    assert commutant(mats) == dense_commutant(mats)
