@@ -39,7 +39,9 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_key", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
-        assert len(entries) == rows * cols
+        if len(entries) != rows * cols:
+            raise ExactAlgError("a %dx%d matrix needs %d entries, got %d"
+                                % (rows, cols, rows * cols, len(entries)))
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -502,6 +504,4 @@ def flatten_matrix(m: ExactMatrix) -> tuple:
 
 
 def unflatten_matrix(vec, n: int) -> ExactMatrix:
-    vec = tuple(_as_cyc(v) for v in vec)
-    assert len(vec) == n * n
-    return ExactMatrix(n, n, vec)
+    return ExactMatrix(n, n, tuple(_as_cyc(v) for v in vec))

@@ -502,7 +502,8 @@ class CosetElement:
         self._hash = None
 
     def __mul__(self, other: "CosetElement") -> "CosetElement":
-        assert self.ctx is other.ctx
+        if self.ctx is not other.ctx:
+            raise GroupStructureError("cannot multiply cosets of different quotients")
         return CosetElement(self.ctx, self.ctx.canonical(self.rep * other.rep))
 
     def inverse(self) -> "CosetElement":

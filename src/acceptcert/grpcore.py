@@ -395,7 +395,8 @@ class QuotElement:
         self._hash = None
 
     def __mul__(self, other: "QuotElement") -> "QuotElement":
-        assert self.group is other.group
+        if self.group is not other.group:
+            raise GroupError("cannot multiply elements of different quotient groups")
         return QuotElement(self.group, self.group.coset_rep(self.rep * other.rep))
 
     def inverse(self) -> "QuotElement":

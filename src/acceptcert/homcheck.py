@@ -13,16 +13,18 @@ oracles.  Global conjugacy is decided by the central-twist procedure:
    Z pointwise and preserves every factorwise character.  The functional
    equation is z(xy) = z(x) z(y) c'(x,y) c(x,y)^(-1); its solutions are
    determined by values on a generating set, so all |Z|^(#gens) seeds are
-   propagated over a fixed breadth-first order, validated on all source pairs,
-   pruned by the kernel condition, and finally checked by exact character
-   comparison over all of P.
+   propagated over a fixed breadth-first order, pruned by the kernel
+   condition, validated on the generator edges x -> x g (which implies the
+   equation on all source pairs; see decide_global), and finally checked by
+   exact character comparison over all of P.
 3. Any surviving twist certifies global conjugacy (characters determine
    conjugacy factorwise for these factor kinds, and intertwiners can be
    adjusted into SU(n) / Sp(1) / SO(3)); exhausting all seeds certifies
    non-conjugacy, because an actual conjugator would induce a valid twist.
 
 Everything below runs on small integer tables once the cocycles are computed,
-so exhaustion over a few hundred seeds is fast.
+so exhaustion over a few hundred seeds is fast.  The source's Cayley table
+itself comes from its generator edges by integer lookups (_cayley_table).
 """
 
 from __future__ import annotations
@@ -110,8 +112,75 @@ def is_element_conjugate(pair: HomPair):
     return True, None
 
 
+def _cayley_table(src: FinGroup, seed_gens) -> tuple:
+    """(mul_tab, visit): the source's multiplication table and BFS order.
+
+    Only the n |seed_gens| generator edges x -> x g are products
+    (``src.mul_idx``, memoized by the source, so the edges Hom.verify has
+    checked cost nothing here).  ``visit`` lists, in breadth-first order
+    from the identity and the preset generators, one triple (j, p, g) per
+    other element with j = p g; the search raises GroupError unless it
+    reaches every element.  Every other entry is an integer lookup: row i
+    holds i e = i and i g on the generator columns, and for (j, p, g) in
+    visit order i j = i (p g) = (i p) g = mul_tab[i p][g] by associativity,
+    where i p is already in row i because p precedes j in the search.
+    """
+    n = src.order
+    ident = src.identity_index
+    mul_tab = []
+    for i in range(n):
+        row = [ident] * n
+        row[ident] = i
+        for gi in seed_gens:
+            row[gi] = src.mul_idx(i, gi)
+        mul_tab.append(row)
+
+    visit = []
+    visited = [False] * n
+    visited[ident] = True
+    for gi in seed_gens:
+        visited[gi] = True
+    frontier = [ident] + list(seed_gens)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for gi in seed_gens:
+                j = mul_tab[i][gi]
+                if not visited[j]:
+                    visited[j] = True
+                    visit.append((j, i, gi))
+                    nxt.append(j)
+        frontier = nxt
+    if not all(visited):
+        raise GroupError("recorded generators do not generate the source group")
+
+    for row in mul_tab:
+        for (j, p, gi) in visit:
+            row[j] = mul_tab[row[p]][gi]
+    return mul_tab, visit
+
+
 def decide_global(pair: HomPair, lifts_override=None, cap=None):
-    """Global-conjugacy verdict via central twist exhaustion (see module doc)."""
+    """Global-conjugacy verdict via central twist exhaustion (see module doc).
+
+    Each seed's twist z is propagated along the search tree of
+    _cayley_table and then checked only on the edges x -> x g, for every x
+    and every g in {e} and the seed generators:
+    z(x g) = z(x) z(g) d(x, g) with d = c' c^(-1).  This implies the
+    equation for every pair.  The full cocycle tables put c and c' in the
+    central (so abelian) Z, and by associativity each satisfies the
+    2-cocycle identity c(x,y) c(xy,g) = a(x) a(y) a(g) a(xyg)^(-1)
+    = c(y,g) c(x,yg); so does their quotient d.  Induct on the length of a
+    word y in the generators: for y = e the identity edge (x, e) is the
+    claim itself, checked rather than assumed; for y = y' g,
+    z(x y' g) = z(x y') z(g) d(x y', g)
+             = z(x) z(y') z(g) d(x, y') d(x y', g)
+             = z(x) z(y') z(g) d(y', g) d(x, y' g)
+             = z(x) z(y' g) d(x, y' g),
+    using the edge (x y', g), the induction hypothesis, the cocycle
+    identity and the edge (y', g).  This is the argument of Hom.verify
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    """
     src = pair.src
     g = pair.target
     n = src.order
@@ -134,7 +203,14 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
     z_mul = [[z_index[zs[i] * zs[j]] for j in range(nz)] for i in range(nz)]
     z_inv = [row.index(0) for row in z_mul]
 
-    mul_tab = [[src.mul_idx(i, j) for j in range(n)] for i in range(n)]
+    ident = src.identity_index
+    seed_gens = []
+    for gi in (src.gen_indices or range(n)):
+        if gi != ident and gi not in seed_gens:
+            seed_gens.append(gi)
+    # fixed propagation order over the source group; generator values are
+    # preset per seed, everything else extends along the visit edges
+    mul_tab, visit = _cayley_table(src, seed_gens)
     a_inv = [x.inverse() for x in a_list]
     b_inv = [x.inverse() for x in b_list]
 
@@ -154,35 +230,13 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
 
     c_tab = cocycle_table(a_list, a_inv)
     cp_tab = cocycle_table(b_list, b_inv)
-    d_tab = [[z_mul[cp_tab[i][j]][z_inv[c_tab[i][j]]] for j in range(n)]
-             for i in range(n)]
-
-    ident = src.identity_index
-    seed_gens = []
-    for gi in (src.gen_indices or range(n)):
-        if gi != ident and gi not in seed_gens:
-            seed_gens.append(gi)
-
-    # fixed propagation order over the source group; generator values are
-    # preset per seed, everything else extends along these edges
-    visit = []
-    visited = [False] * n
-    visited[ident] = True
-    for gi in seed_gens:
-        visited[gi] = True
-    frontier = [ident] + seed_gens
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gi in seed_gens:
-                j = mul_tab[i][gi]
-                if not visited[j]:
-                    visited[j] = True
-                    visit.append((j, i, gi))
-                    nxt.append(j)
-        frontier = nxt
-    if not all(visited):
-        raise GroupError("recorded generators do not generate the source group")
+    # d = c' c^(-1), needed on the edges only
+    edge_gens = [ident] + seed_gens
+    d_tab = []
+    for i in range(n):
+        c_row = c_tab[i]
+        cp_row = cp_tab[i]
+        d_tab.append({gi: z_mul[cp_row[gi]][z_inv[c_row[gi]]] for gi in edge_gens})
 
     # preimage groups Z . lifts.  The cocycle tables show a(x) a(y) in
     # Z a(xy), so by induction on word length every lift lies in Z times a
@@ -239,8 +293,8 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
                 zi_row = z_mul[z_arr[i]]
                 d_row = d_tab[i]
                 m_row = mul_tab[i]
-                for j in range(n):
-                    if z_arr[m_row[j]] != z_mul[zi_row[z_arr[j]]][d_row[j]]:
+                for gi in edge_gens:
+                    if z_arr[m_row[gi]] != z_mul[zi_row[z_arr[gi]]][d_row[gi]]:
                         ok = False
                         break
                 if not ok:

@@ -127,6 +127,15 @@ def test_quotient_rejects_non_normal():
     assert quot.order == 2
 
 
+def test_cosets_of_different_quotients_do_not_multiply():
+    q8 = quaternion_group()
+    signs = q8.subgroup_from_elements([Quat.one(), -Quat.one()])
+    quot, _ = quotient_by_central(q8, signs)
+    other, _ = quotient_by_central(q8, signs)
+    with pytest.raises(GroupStructureError, match="different quotients"):
+        quot.elements[1] * other.elements[1]
+
+
 def test_hom_set_to_elem_abelian_2():
     q8 = quaternion_group()
     klein = closure([-Quat.one()])

@@ -1,5 +1,9 @@
 """Quaternions, ambient factors, and central-quotient group specs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +108,45 @@ def test_quotient_wrapping_identifies_cosets():
     assert g.wrap_parts((m,)) == g.wrap_parts((m.scaled(cyc_rational(-1)),))
     assert g.wrap_parts((m,)) != g.wrap_parts((m.conj(),))
     assert g.identity().is_identity()
+
+
+def test_quotient_elements_of_different_groups_do_not_multiply():
+    g = GroupSpec((su_factor(4),), center_gens=((MINUS_I4,),))
+    h = GroupSpec((su_factor(4),), center_gens=((MINUS_I4,),))
+    m = ExactMatrix.diagonal([ONE, cyc_i(), ONE, -cyc_i()])
+    with pytest.raises(GroupError, match="different quotient groups"):
+        g.wrap_parts((m,)) * h.wrap_parts((m,))
+
+
+def test_shape_and_group_checks_survive_optimized_mode():
+    # none of these checks may be an assert, which python -O strips
+    code = (
+        "from acceptcert.exactalg import ExactAlgError, ExactMatrix, ONE, cyc_rational\n"
+        "from acceptcert.exactalg import unflatten_matrix\n"
+        "from acceptcert.fingrp import GroupStructureError, closure, quotient_by_central\n"
+        "from acceptcert.grpcore import GroupError, GroupSpec, QUAT_I, QUAT_J, Quat, su_factor\n"
+        "def refused(call, exc):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc:\n"
+        "        return\n"
+        "    raise SystemExit('accepted: %r' % (call,))\n"
+        "refused(lambda: ExactMatrix(2, 2, (ONE,)), ExactAlgError)\n"
+        "refused(lambda: unflatten_matrix([ONE] * 3, 2), ExactAlgError)\n"
+        "minus = ExactMatrix.identity(4).scaled(cyc_rational(-1))\n"
+        "g, h = (GroupSpec((su_factor(4),), center_gens=((minus,),)) for _ in range(2))\n"
+        "one = ExactMatrix.identity(4)\n"
+        "refused(lambda: g.wrap_parts((one,)) * h.wrap_parts((one,)), GroupError)\n"
+        "q8 = closure([QUAT_I, QUAT_J])\n"
+        "signs = closure([-Quat.one()])\n"
+        "q1, _ = quotient_by_central(q8, signs)\n"
+        "q2, _ = quotient_by_central(q8, signs)\n"
+        "refused(lambda: q1.elements[1] * q2.elements[1], GroupStructureError)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_quotient_center():

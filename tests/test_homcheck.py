@@ -1,17 +1,28 @@
 """Element conjugacy and global conjugacy decisions for homomorphism pairs."""
 
+import itertools
 import random
 
 import pytest
 
+from acceptcert import certsuite
 from acceptcert.exactalg import ExactMatrix, ONE, cyc_i, cyc_rational
-from acceptcert.fingrp import FormalGroupSpec, formal_group, hom_from_gens
+from acceptcert.fingrp import (
+    FinGroup,
+    FormalGroupSpec,
+    closure,
+    formal_group,
+    hom_from_gens,
+    quotient_by_central,
+)
 from acceptcert.grpcore import GroupError, GroupSpec, QUAT_I, QUAT_J, Quat, sp1_factor, su_factor
 from acceptcert.homcheck import (
     GloballyConjugate,
     HomPair,
+    LiftConsistencyError,
     NotGloballyConjugate,
     OracleDomainError,
+    _cayley_table,
     abelian_weight_oracle,
     decide_global,
     is_element_conjugate,
@@ -130,3 +141,174 @@ def test_conjugated_pair_comes_back_conjugate():
                        target=g)
     verdict = decide_global(HomPair(f, fp))
     assert isinstance(verdict, GloballyConjugate)
+
+
+# --- the Cayley table from generator edges -----------------------------------------
+
+
+def full_mul_table(src):
+    """Reference: every product of two source elements, by src.mul_idx."""
+    table = []
+    for i in range(src.order):
+        table.append([src.mul_idx(i, j) for j in range(src.order)])
+    return table
+
+
+def seed_generators(src):
+    return [gi for gi in dict.fromkeys(src.gen_indices or range(src.order))
+            if gi != src.identity_index]
+
+
+def generalized_quaternion_16():
+    return closure([certsuite.eta_quat(), QUAT_J])
+
+
+def cayley_sources():
+    q16 = generalized_quaternion_16()
+    center = closure([-Quat.one()])
+    dihedral_8, _ = quotient_by_central(q16, center)
+    q8 = closure([QUAT_I, QUAT_J])
+    return {
+        "closure Q8": q8,
+        "closure Q16": q16,
+        "CyclicProduct(4, 4)": formal_group(FormalGroupSpec.cyclic_product(4, 4)),
+        "CyclicProduct(3, 5, 2)": formal_group(FormalGroupSpec.cyclic_product(3, 5, 2)),
+        "CentralExt2(4, 4)": formal_group(FormalGroupSpec.central_ext2(4, 4)),
+        "CentralExt2(2, 6)": formal_group(FormalGroupSpec.central_ext2(2, 6)),
+        "Q16 / {+-1}": dihedral_8,
+        "Q8, no recorded generators": FinGroup(q8.elements),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(cayley_sources()))
+def test_cayley_table_matches_the_full_product_table(name):
+    src = cayley_sources()[name]
+    gens = seed_generators(src)
+    mul_tab, visit = _cayley_table(src, gens)
+    # only the generator edges were multiplied
+    assert len(src._mul) == src.order * len(gens)
+    assert mul_tab == full_mul_table(src)
+    # the search reaches every other element once, from an earlier one
+    reached = {src.identity_index, *gens}
+    for j, p, gi in visit:
+        assert p in reached and j not in reached
+        assert mul_tab[p][gi] == j
+        reached.add(j)
+    assert reached == set(range(src.order))
+
+
+def test_cayley_table_refuses_non_generating_generators():
+    q8 = closure([QUAT_I, QUAT_J])
+    with pytest.raises(GroupError, match="do not generate"):
+        _cayley_table(q8, [q8.idx(QUAT_I)])
+
+
+# --- the verdict does not depend on the ambient lifts --------------------------------
+
+
+def sign_quotient_sanity_pair(rng, group_name):
+    """A conjugated pair drawn as in the sanity certificate, into a quotient by -1."""
+    src = formal_group(FormalGroupSpec.cyclic_product(4, 4))
+    if group_name == "su4":
+        g = su4_quotient()
+        ims = tuple(g.wrap_parts((certsuite._random_su4_diag(rng),)) for _ in range(2))
+        conj = g.wrap_parts((certsuite._random_su4_monomial(rng),))
+    else:
+        g = GroupSpec((sp1_factor(),) * 3, center_gens=((-Quat.one(),) * 3,))
+        units = [rng.choice(certsuite._SLOT_UNITS) for _ in range(3)]
+        ims = tuple(
+            g.wrap_parts(tuple(certsuite._quat_power(u, rng.randrange(4)) for u in units))
+            for _ in range(2))
+        conj = g.wrap_parts(tuple(rng.choice(certsuite._unit_quat_pool()) for _ in range(3)))
+    inv = conj.inverse()
+    f = hom_from_gens(src, src.gen_indices, ims, target=g)
+    fp = hom_from_gens(src, src.gen_indices,
+                       tuple((conj * im) * inv for im in ims), target=g)
+    return HomPair(f, fp)
+
+
+LIFT_CASES = ([("sp1_diag", {"m": m, "eps": eps}) for m in (3, 4, 5) for eps in (1, -1)]
+              + [("su4_mod_center", {}), ("psu_odd_prime", {"p": 3})]
+              + [("sanity", {"group": name, "seed": seed})
+                 for name in ("su4", "sp1_cubed") for seed in (1, 2)])
+
+
+def lift_case_pair(cert_id, params):
+    if cert_id == "sanity":
+        return sign_quotient_sanity_pair(random.Random(params["seed"]), params["group"])
+    return certsuite._HOMPAIR_BUILDERS[cert_id](params)[1]
+
+
+def canonical_lifts(pair):
+    g = pair.target
+    return ([g.ambient_of(x) for x in pair.f.images],
+            [g.ambient_of(x) for x in pair.fprime.images])
+
+
+def non_central_element(g):
+    """det-one, non-scalar in every SU factor and a pure quaternion in every Sp(1)."""
+    parts = []
+    for factor in g.factors:
+        if factor.kind == "SU":
+            ii = cyc_i()
+            parts.append(ExactMatrix.diagonal([ii, -ii] + [ONE] * (factor.n - 2)))
+        else:
+            parts.append(QUAT_J)
+    return g.element(parts)
+
+
+@pytest.mark.parametrize("cert_id, params", LIFT_CASES)
+def test_verdict_does_not_depend_on_the_lifts(cert_id, params):
+    pair = lift_case_pair(cert_id, params)
+    zs = pair.target.z_subgroup
+    assert len(zs) > 1
+    want = decide_global(pair)
+    rng = random.Random("%s %r" % (cert_id, sorted(params.items())))
+    a_list, b_list = canonical_lifts(pair)
+    for _ in range(3):
+        a_moved = [rng.choice(zs) * x for x in a_list]
+        b_moved = [rng.choice(zs) * x for x in b_list]
+        assert (a_moved, b_moved) != (a_list, b_list)
+        got = decide_global(pair, lifts_override=(a_moved, b_moved))
+        assert got.conjugate == want.conjugate
+        assert got.p_order == want.p_order
+        if not want.conjugate:
+            assert got.seeds_examined == want.seeds_examined
+
+
+@pytest.mark.parametrize("cert_id, params", LIFT_CASES)
+def test_a_lift_moved_off_its_coset_is_refused(cert_id, params):
+    pair = lift_case_pair(cert_id, params)
+    rng = random.Random("%s %r" % (cert_id, sorted(params.items())))
+    a_list, b_list = canonical_lifts(pair)
+    k = rng.randrange(pair.src.order)
+    a_list[k] = a_list[k] * non_central_element(pair.target)
+    with pytest.raises(LiftConsistencyError):
+        decide_global(pair, lifts_override=(a_list, b_list))
+
+
+def test_every_returned_twist_holds_on_all_pairs():
+    # Every non-identity image has trace 0 and Z = <i I> scales traces, so
+    # the character comparison passes every seed: only the twist check on
+    # the generator edges decides.  Over all Z-shifts of the second map's
+    # lifts the returned twist must satisfy z(x) z(y) c'(x,y) = z(xy) c(x,y)
+    # on every pair, computed here from the lifts directly.
+    g = GroupSpec((su_factor(4),), center_gens=((ExactMatrix.identity(4).scaled(cyc_i()),),))
+    src = formal_group(FormalGroupSpec.cyclic_product(2, 2))
+    a = ExactMatrix.diagonal([ONE, -ONE, ONE, -ONE])
+    b = ExactMatrix.diagonal([ONE, ONE, -ONE, -ONE])
+    f = hom_from_gens(src, src.gen_indices, (g.wrap_parts((a,)), g.wrap_parts((b,))), target=g)
+    zs = g.z_subgroup
+    a_list = canonical_lifts(HomPair(f, f))[0]
+    n = src.order
+    for shift in itertools.product(range(len(zs)), repeat=n):
+        b_list = [zs[k] * x for k, x in zip(shift, a_list)]
+        verdict = decide_global(HomPair(f, f), lifts_override=(a_list, b_list))
+        assert isinstance(verdict, GloballyConjugate)
+        z = [verdict.twist_value(i) for i in range(n)]
+        for x in range(n):
+            for y in range(n):
+                xy = src.mul_idx(x, y)
+                c = (a_list[x] * a_list[y]) * a_list[xy].inverse()
+                cp = (b_list[x] * b_list[y]) * b_list[xy].inverse()
+                assert (z[x] * z[y]) * cp == z[xy] * c, (shift, x, y)

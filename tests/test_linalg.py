@@ -268,6 +268,13 @@ def test_square_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_entry_count_must_match_shape():
+    with pytest.raises(ExactAlgError, match="a 2x2 matrix needs 4 entries, got 1"):
+        ExactMatrix(2, 2, (ONE,))
+    with pytest.raises(ExactAlgError, match="a 2x2 matrix needs 4 entries, got 3"):
+        unflatten_matrix([ONE, ONE, ONE], 2)
+
+
 def test_empty_matrix_invariants():
     # det(x * I_0) is the empty product 1
     assert EMPTY.char_poly() == (ONE,)
