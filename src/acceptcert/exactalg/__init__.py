@@ -13,7 +13,6 @@ from .cyclotomic import (
     NotRationalError,
     ONE,
     ZERO,
-    cyc_embed,
     cyc_half,
     cyc_i,
     cyc_make,
@@ -50,7 +49,6 @@ __all__ = [
     "Subspace",
     "char_poly",
     "commutant",
-    "cyc_embed",
     "cyc_half",
     "cyc_i",
     "cyc_make",

@@ -626,21 +626,6 @@ def cyc_zeta(n: int) -> CycNum:
     return z
 
 
-def cyc_embed(x: CycNum, n: int) -> CycNum:
-    """Assert that x embeds into Q(zeta_n) and return it (canonical form is kept).
-
-    Values always store their minimal conductor, so the embedded value is the
-    same object; this operation validates divisibility and the cap.
-    """
-    _check_cap(n)
-    target = _canon_conductor(n)
-    if target % x.n:
-        raise ExactAlgError(
-            "Q(zeta_%d) does not contain this conductor-%d value" % (n, x.n)
-        )
-    return x
-
-
 def cyc_i() -> CycNum:
     return cyc_zeta(4)
 

@@ -6,8 +6,11 @@ subgroup.  Element-conjugacy is a per-element check against the conjtest
 oracles.  Global conjugacy is decided by the central-twist procedure:
 
 1. Fix ambient lifts a(x), b(x) of f(x), f'(x) (canonical coset reps unless
-   overridden) and form the lift-discrepancy cocycles
-   a(x)a(y) = c(x,y) a(xy) and b(x)b(y) = c'(x,y) b(xy), with values in Z.
+   overridden).  Their discrepancies a(x)a(y) = c(x,y) a(xy) and
+   b(x)b(y) = c'(x,y) b(xy) are 2-cocycles with values in Z.  They are
+   formed, and checked to lie in Z, only on the generator edges (x, g) with
+   g = e or a generator; that implies the same on all source pairs (see
+   decide_global).
 2. A conjugator downstairs corresponds to a map z: source -> Z making
    F(w a(x)) = w z(x) b(x) a homomorphism on the preimage group P that fixes
    Z pointwise and preserves every factorwise character.  The functional
@@ -22,9 +25,10 @@ oracles.  Global conjugacy is decided by the central-twist procedure:
    adjusted into SU(n) / Sp(1) / SO(3)); exhausting all seeds certifies
    non-conjugacy, because an actual conjugator would induce a valid twist.
 
-Everything below runs on small integer tables once the cocycles are computed,
-so exhaustion over a few hundred seeds is fast.  The source's Cayley table
-itself comes from its generator edges by integer lookups (_cayley_table).
+Everything below runs on small integer tables once the edge discrepancies
+are computed, so exhaustion over a few hundred seeds is fast.  Of the
+source's multiplication only the generator edges are needed
+(_generator_edges).
 """
 
 from __future__ import annotations
@@ -112,28 +116,26 @@ def is_element_conjugate(pair: HomPair):
     return True, None
 
 
-def _cayley_table(src: FinGroup, seed_gens) -> tuple:
-    """(mul_tab, visit): the source's multiplication table and BFS order.
+def _generator_edges(src: FinGroup, seed_gens) -> tuple:
+    """(edges, visit): the generator edges of the source and a search order.
 
-    Only the n |seed_gens| generator edges x -> x g are products
-    (``src.mul_idx``, memoized by the source, so the edges Hom.verify has
-    checked cost nothing here).  ``visit`` lists, in breadth-first order
+    edges[i] maps the identity and each seed generator g to i g.  The
+    n |seed_gens| products i g are the only ones made (``src.mul_idx``,
+    memoized by the source, so the edges Hom.verify has checked cost nothing
+    here); i e = i is no product.  ``visit`` lists, in breadth-first order
     from the identity and the preset generators, one triple (j, p, g) per
-    other element with j = p g; the search raises GroupError unless it
-    reaches every element.  Every other entry is an integer lookup: row i
-    holds i e = i and i g on the generator columns, and for (j, p, g) in
-    visit order i j = i (p g) = (i p) g = mul_tab[i p][g] by associativity,
-    where i p is already in row i because p precedes j in the search.
+    other element with j = p g = edges[p][g]; the search raises GroupError
+    unless it reaches every element.  Every element is thus a word in the
+    seed generators, which is all decide_global needs of the source.
     """
     n = src.order
     ident = src.identity_index
-    mul_tab = []
+    edges = []
     for i in range(n):
-        row = [ident] * n
-        row[ident] = i
+        row = {ident: i}
         for gi in seed_gens:
             row[gi] = src.mul_idx(i, gi)
-        mul_tab.append(row)
+        edges.append(row)
 
     visit = []
     visited = [False] * n
@@ -145,7 +147,7 @@ def _cayley_table(src: FinGroup, seed_gens) -> tuple:
         nxt = []
         for i in frontier:
             for gi in seed_gens:
-                j = mul_tab[i][gi]
+                j = edges[i][gi]
                 if not visited[j]:
                     visited[j] = True
                     visit.append((j, i, gi))
@@ -153,26 +155,61 @@ def _cayley_table(src: FinGroup, seed_gens) -> tuple:
         frontier = nxt
     if not all(visited):
         raise GroupError("recorded generators do not generate the source group")
+    return edges, visit
 
-    for row in mul_tab:
-        for (j, p, gi) in visit:
-            row[j] = mul_tab[row[p]][gi]
-    return mul_tab, visit
+
+def _edge_discrepancy(a_list, b_list, edges, z_index, z_mul) -> list:
+    """d = c' c^(-1) on the generator edges, as indices into Z.
+
+    For every edge x -> x g of ``edges`` the lift discrepancies
+    c(x, g) = a(x) a(g) a(xg)^(-1) and c'(x, g) = b(x) b(g) b(xg)^(-1) are
+    formed, two ambient products each, and d_tab[x][g] is the index of
+    c'(x, g) c(x, g)^(-1).  LiftConsistencyError unless every c and c' value
+    lies in Z; by the induction in decide_global that holds exactly when c
+    and c' lie in Z on every pair of source elements.
+    """
+    z_inv = [row.index(0) for row in z_mul]
+    a_inv = [x.inverse() for x in a_list]
+    b_inv = [x.inverse() for x in b_list]
+    d_tab = []
+    for i, row in enumerate(edges):
+        ai = a_list[i]
+        bi = b_list[i]
+        d_row = {}
+        for gi, j in row.items():
+            c = z_index.get((ai * a_list[gi]) * a_inv[j])
+            cp = z_index.get((bi * b_list[gi]) * b_inv[j])
+            if c is None or cp is None:
+                raise LiftConsistencyError("lift discrepancy is not central")
+            d_row[gi] = z_mul[cp][z_inv[c]]
+        d_tab.append(d_row)
+    return d_tab
 
 
 def decide_global(pair: HomPair, lifts_override=None, cap=None):
     """Global-conjugacy verdict via central twist exhaustion (see module doc).
 
+    The lift discrepancies are formed on the generator edges x -> x g only,
+    for every x and every g in {e} and the seed generators (_edge_discrepancy).
+    That check is exactly the all-pairs one: if a(x) a(g) lies in Z a(xg)
+    on every edge, then a(x) a(y) lies in Z a(xy) for every pair, by
+    induction on the length of a word y in the generators.  For y = e it is
+    the identity edge (x, e); for y = y' g, since Z is central,
+    a(x) a(y' g) in Z a(x) a(y') a(g)      (edge (y', g))
+                 in Z a(x y') a(g)         (induction hypothesis)
+                 in Z a(x y' g)            (edge (x y', g)).
+    The same holds for b, so c and c' take values in Z on every pair, and the
+    lift overrides refused are exactly those with a discrepancy outside Z.
+
     Each seed's twist z is propagated along the search tree of
-    _cayley_table and then checked only on the edges x -> x g, for every x
-    and every g in {e} and the seed generators:
+    _generator_edges and then checked only on the same edges:
     z(x g) = z(x) z(g) d(x, g) with d = c' c^(-1).  This implies the
-    equation for every pair.  The full cocycle tables put c and c' in the
-    central (so abelian) Z, and by associativity each satisfies the
-    2-cocycle identity c(x,y) c(xy,g) = a(x) a(y) a(g) a(xyg)^(-1)
-    = c(y,g) c(x,yg); so does their quotient d.  Induct on the length of a
-    word y in the generators: for y = e the identity edge (x, e) is the
-    claim itself, checked rather than assumed; for y = y' g,
+    equation for every pair.  c and c' lie in the central (so abelian) Z,
+    and by associativity each satisfies the 2-cocycle identity
+    c(x,y) c(xy,g) = a(x) a(y) a(g) a(xyg)^(-1) = c(y,g) c(x,yg); so does
+    their quotient d.  Induct on the length of a word y in the generators:
+    for y = e the identity edge (x, e) is the claim itself, checked rather
+    than assumed; for y = y' g,
     z(x y' g) = z(x y') z(g) d(x y', g)
              = z(x) z(y') z(g) d(x, y') d(x y', g)
              = z(x) z(y') z(g) d(y', g) d(x, y' g)
@@ -201,7 +238,6 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
         raise LiftConsistencyError("central subgroup enumeration lost the identity slot")
     z_index = {z: k for k, z in enumerate(zs)}
     z_mul = [[z_index[zs[i] * zs[j]] for j in range(nz)] for i in range(nz)]
-    z_inv = [row.index(0) for row in z_mul]
 
     ident = src.identity_index
     seed_gens = []
@@ -210,38 +246,13 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
             seed_gens.append(gi)
     # fixed propagation order over the source group; generator values are
     # preset per seed, everything else extends along the visit edges
-    mul_tab, visit = _cayley_table(src, seed_gens)
-    a_inv = [x.inverse() for x in a_list]
-    b_inv = [x.inverse() for x in b_list]
+    edges, visit = _generator_edges(src, seed_gens)
+    d_tab = _edge_discrepancy(a_list, b_list, edges, z_index, z_mul)
 
-    def cocycle_table(lifts, inv):
-        tab = []
-        for i in range(n):
-            xi = lifts[i]
-            row = []
-            for j in range(n):
-                val = (xi * lifts[j]) * inv[mul_tab[i][j]]
-                k = z_index.get(val)
-                if k is None:
-                    raise LiftConsistencyError("lift discrepancy is not central")
-                row.append(k)
-            tab.append(row)
-        return tab
-
-    c_tab = cocycle_table(a_list, a_inv)
-    cp_tab = cocycle_table(b_list, b_inv)
-    # d = c' c^(-1), needed on the edges only
-    edge_gens = [ident] + seed_gens
-    d_tab = []
-    for i in range(n):
-        c_row = c_tab[i]
-        cp_row = cp_tab[i]
-        d_tab.append({gi: z_mul[cp_row[gi]][z_inv[c_row[gi]]] for gi in edge_gens})
-
-    # preimage groups Z . lifts.  The cocycle tables show a(x) a(y) in
-    # Z a(xy), so by induction on word length every lift lies in Z times a
-    # product of seed generator lifts: those lifts and Z generate the whole
-    # preimage
+    # preimage groups Z . lifts.  The edge discrepancies put a(p g) in
+    # Z a(p) a(g) for each visit edge (j, p, g), so along the search every
+    # lift lies in Z times a product of seed generator lifts: those lifts
+    # and Z generate the whole preimage
     p_group = closure([a_list[gi] for gi in seed_gens] + list(zs), cap=cap)
     if p_group.order != pair.f.image_order() * nz:
         raise LiftConsistencyError("preimage closure has unexpected order")
@@ -250,12 +261,12 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
         raise LiftConsistencyError("second preimage closure has unexpected order")
 
     # z is pinned on the identity and on the kernel by well-definedness of F
-    z_at_ident = z_index.get(a_list[ident] * b_inv[ident])
+    z_at_ident = z_index.get(a_list[ident] * b_list[ident].inverse())
     if z_at_ident is None:
         raise LiftConsistencyError("identity lifts do not differ by a central element")
     kernel_req = {}
     for i in pair.kernel:
-        req = z_index.get(a_list[i] * b_inv[i])
+        req = z_index.get(a_list[i] * b_list[i].inverse())
         if req is None:
             raise LiftConsistencyError("kernel lifts do not differ by a central element")
         kernel_req[i] = req
@@ -292,9 +303,8 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
             for i in range(n):
                 zi_row = z_mul[z_arr[i]]
                 d_row = d_tab[i]
-                m_row = mul_tab[i]
-                for gi in edge_gens:
-                    if z_arr[m_row[gi]] != z_mul[zi_row[z_arr[gi]]][d_row[gi]]:
+                for gi, j in edges[i].items():
+                    if z_arr[j] != z_mul[zi_row[z_arr[gi]]][d_row[gi]]:
                         ok = False
                         break
                 if not ok:

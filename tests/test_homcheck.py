@@ -22,7 +22,8 @@ from acceptcert.homcheck import (
     LiftConsistencyError,
     NotGloballyConjugate,
     OracleDomainError,
-    _cayley_table,
+    _edge_discrepancy,
+    _generator_edges,
     abelian_weight_oracle,
     decide_global,
     is_element_conjugate,
@@ -180,19 +181,39 @@ def cayley_sources():
     }
 
 
+def table_from_edges(src, edges, visit):
+    """Reference: the full table from the generator edges by associativity.
+
+    Row i starts with i g on the edge columns; for (j, p, g) in visit order
+    i j = i (p g) = (i p) g, where i p is already in row i because p comes
+    before j in the search.
+    """
+    table = []
+    for i in range(src.order):
+        row = [None] * src.order
+        for gi, j in edges[i].items():
+            row[gi] = j
+        table.append(row)
+    for row in table:
+        for j, p, gi in visit:
+            row[j] = table[row[p]][gi]
+    return table
+
+
 @pytest.mark.parametrize("name", sorted(cayley_sources()))
 def test_cayley_table_matches_the_full_product_table(name):
     src = cayley_sources()[name]
     gens = seed_generators(src)
-    mul_tab, visit = _cayley_table(src, gens)
+    edges, visit = _generator_edges(src, gens)
     # only the generator edges were multiplied
     assert len(src._mul) == src.order * len(gens)
-    assert mul_tab == full_mul_table(src)
+    assert all(set(row) == {src.identity_index, *gens} for row in edges)
+    assert table_from_edges(src, edges, visit) == full_mul_table(src)
     # the search reaches every other element once, from an earlier one
     reached = {src.identity_index, *gens}
     for j, p, gi in visit:
         assert p in reached and j not in reached
-        assert mul_tab[p][gi] == j
+        assert edges[p][gi] == j
         reached.add(j)
     assert reached == set(range(src.order))
 
@@ -200,7 +221,7 @@ def test_cayley_table_matches_the_full_product_table(name):
 def test_cayley_table_refuses_non_generating_generators():
     q8 = closure([QUAT_I, QUAT_J])
     with pytest.raises(GroupError, match="do not generate"):
-        _cayley_table(q8, [q8.idx(QUAT_I)])
+        _generator_edges(q8, [q8.idx(QUAT_I)])
 
 
 # --- the verdict does not depend on the ambient lifts --------------------------------
@@ -312,3 +333,87 @@ def test_every_returned_twist_holds_on_all_pairs():
                 c = (a_list[x] * a_list[y]) * a_list[xy].inverse()
                 cp = (b_list[x] * b_list[y]) * b_list[xy].inverse()
                 assert (z[x] * z[y]) * cp == z[xy] * c, (shift, x, y)
+
+
+# --- the edge check refuses exactly what the full cocycle tables refuse --------------
+
+
+def full_cocycle_table(src, lifts):
+    """Reference: c(x, y) = a(x) a(y) a(xy)^(-1) on every pair of source elements."""
+    table = []
+    for x in range(src.order):
+        row = []
+        for y in range(src.order):
+            row.append((lifts[x] * lifts[y]) * lifts[src.mul_idx(x, y)].inverse())
+        table.append(row)
+    return table
+
+
+def small_source_pair(order):
+    """f = f' from the trivial group or from C2 = <s> into SU(4)/{+-1}, s -> diag(1, 1, -1, -1)."""
+    g = su4_quotient()
+    src = closure([Quat.one() if order == 1 else -Quat.one()])
+    image = g.wrap_parts((ExactMatrix.diagonal([ONE, ONE, -ONE, -ONE]),))
+    f = hom_from_gens(src, src.gen_indices, (image if order == 2 else g.identity(),), target=g)
+    return HomPair(f, f)
+
+
+# On the trivial group and on C2 some override has its only non-central
+# value on the identity edge, on the one generator's column or in the last
+# row, so every part of the edge check has a case that needs it.
+EDGE_CASES = LIFT_CASES + [("small", {"order": 1}), ("small", {"order": 2})]
+
+
+def lift_overrides(pair, rng):
+    """(name, a lifts, b lifts, whether the full tables accept them)."""
+    src = pair.src
+    zs = pair.target.z_subgroup
+    u = non_central_element(pair.target)
+    u_inv = u.inverse()
+    a_list, b_list = canonical_lifts(pair)
+    gens = seed_generators(src)
+    others = [i for i in range(src.order) if i != src.identity_index and i not in gens]
+    out = [("Z-shifted", [rng.choice(zs) * x for x in a_list],
+            [rng.choice(zs) * x for x in b_list], True),
+           ("conjugated", [(u * x) * u_inv for x in a_list],
+            [(u * x) * u_inv for x in b_list], True)]
+    moves = [("moved at the identity", src.identity_index)]
+    if gens:
+        moves.append(("moved at a generator", rng.choice(gens)))
+    if others:
+        moves.append(("moved at a non-generator", rng.choice(others)))
+    for name, k in moves:
+        moved = list(a_list)
+        moved[k] = moved[k] * u
+        out.append((name, moved, b_list, False))
+    return out
+
+
+@pytest.mark.parametrize("cert_id, params", EDGE_CASES)
+def test_edge_check_refuses_exactly_what_the_full_tables_refuse(cert_id, params):
+    if cert_id == "small":
+        pair = small_source_pair(params["order"])
+    else:
+        pair = lift_case_pair(cert_id, params)
+    src = pair.src
+    zs = pair.target.z_subgroup
+    z_index = {z: k for k, z in enumerate(zs)}
+    z_mul = [[z_index[x * y] for y in zs] for x in zs]
+    edges, _ = _generator_edges(src, seed_generators(src))
+    rng = random.Random("%s %r" % (cert_id, sorted(params.items())))
+    for name, a_list, b_list, accepted in lift_overrides(pair, rng):
+        c_ref = full_cocycle_table(src, a_list)
+        cp_ref = full_cocycle_table(src, b_list)
+        central = all(v in z_index for tab in (c_ref, cp_ref) for row in tab for v in row)
+        assert central == accepted, name
+        if not central:
+            with pytest.raises(LiftConsistencyError, match="not central"):
+                _edge_discrepancy(a_list, b_list, edges, z_index, z_mul)
+            with pytest.raises(LiftConsistencyError, match="not central"):
+                decide_global(pair, lifts_override=(a_list, b_list))
+            continue
+        d_tab = _edge_discrepancy(a_list, b_list, edges, z_index, z_mul)
+        for x, row in enumerate(edges):
+            for gi in row:
+                assert zs[d_tab[x][gi]] == cp_ref[x][gi] * c_ref[x][gi].inverse(), (name, x, gi)
+        decide_global(pair, lifts_override=(a_list, b_list))
