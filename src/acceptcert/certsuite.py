@@ -521,10 +521,36 @@ def _run_hompair(cert: Certificate, params, cap):
     return verdicts, counts
 
 
-def _run_criterion(cert: Certificate, params, cap):
+def run_criterion(gens=None, cap: int | None = None):
+    """The rotation criterion on Sp(1)^3 mod the sign pairs, with its witness pair.
+
+    ``gens`` are generating quaternion triples (default: the pinned ones).
+    Returns ``(rotations, report, witness)``: the closed rotation group, the
+    ``decide_criterion`` report (an InfiniteCentralizer when the criterion
+    does not apply) and, when some character is missed, the generic
+    deciders' verdicts on the witness pair, else None.
+    """
+    if gens is None:
+        gens = criterion_generator_quats()
     g = standard_criterion_group()
-    gbar = rotation_group_from_quats(criterion_generator_quats(), cap=cap)
+    gbar = rotation_group_from_quats(gens, cap=cap)
     report = decide_criterion(g, gbar, cap=cap)
+    if isinstance(report, InfiniteCentralizer) or report.phi_surjective:
+        return gbar, report, None
+    pair = build_witness_pair(report, g, gbar, cap=cap)
+    ec, _ = is_element_conjugate(pair)
+    verdict = decide_global(pair, cap=cap)
+    witness = {
+        "element_conjugate": ec,
+        "globally_conjugate": isinstance(verdict, GloballyConjugate),
+        "source_order": pair.src.order,
+        "twists_examined": verdict.seeds_examined,
+    }
+    return gbar, report, witness
+
+
+def _run_criterion(cert: Certificate, params, cap):
+    gbar, report, witness = run_criterion(cap=cap)
     if isinstance(report, InfiniteCentralizer):
         return {"applicable": False, "reason": report.reason}, {}
     verdicts = {
@@ -538,14 +564,11 @@ def _run_criterion(cert: Certificate, params, cap):
         "phi_surjective": report.phi_surjective,
     }
     counts = {"rotation_group_order": gbar.order}
-    if not report.phi_surjective:
-        pair = build_witness_pair(report, g, gbar, cap=cap)
-        ec, _ = is_element_conjugate(pair)
-        gc_verdict = decide_global(pair, cap=cap)
-        verdicts["witness_element_conjugate"] = ec
-        verdicts["witness_globally_conjugate"] = isinstance(gc_verdict, GloballyConjugate)
-        counts["witness_source_order"] = pair.src.order
-        counts["witness_twists_examined"] = gc_verdict.seeds_examined
+    if witness is not None:
+        verdicts["witness_element_conjugate"] = witness["element_conjugate"]
+        verdicts["witness_globally_conjugate"] = witness["globally_conjugate"]
+        counts["witness_source_order"] = witness["source_order"]
+        counts["witness_twists_examined"] = witness["twists_examined"]
     return verdicts, counts
 
 
@@ -557,7 +580,7 @@ def _run_scan(cert: Certificate, params, cap):
     if not denominators or any(m < 1 for m in denominators):
         raise CertParamError("scan denominators must be a non-empty list of "
                              "positive integers")
-    rows = scan_angles(_SCAN_KINDS[cert.id], n, denominators)
+    rows = scan_angles(_SCAN_KINDS[cert.id], n, denominators, cap=cap)
     failing = [[v.angle.k, v.angle.m] for v in rows if v.outcome == "fails"]
     undecided = sum(1 for v in rows if v.outcome == "undecided")
     verdicts = {"failing": failing, "undecided": undecided}

@@ -25,25 +25,12 @@ import time
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
-from .certsuite import (
-    CertParamError,
-    criterion_generator_quats,
-    registry,
-    run,
-    run_all,
-)
+from .certsuite import CertParamError, registry, run, run_all, run_criterion
 from .exactalg import ExactAlgError, cyc_rational, sqrt_rational
 from .fingrp import ClosureCapError, GroupStructureError, NotAHomomorphismError
 from .grpcore import GroupError, Quat
-from .homcheck import GloballyConjugate, decide_global, is_element_conjugate
 from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome, scan_angles
-from .so3crit import (
-    InfiniteCentralizer,
-    build_witness_pair,
-    decide_criterion,
-    rotation_group_from_quats,
-    standard_criterion_group,
-)
+from .so3crit import InfiniteCentralizer
 
 _FAMILY_BY_NAME = {"o-odd": KIND_O_ODD, "so-odd": KIND_SO_ODD}
 
@@ -163,7 +150,6 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_cap(args)
     overrides = _load_grid_overrides(args.params) if args.params else {}
     start = time.perf_counter()
     if args.cert_ids:
@@ -219,7 +205,7 @@ def _cmd_scan_scf(args) -> int:
         raise CertParamError("denominators must be positive integers")
     kind = _FAMILY_BY_NAME[args.family]
     start = time.perf_counter()
-    rows = scan_angles(kind, args.n, denominators)
+    rows = scan_angles(kind, args.n, denominators, cap=args.max_closure)
     seconds = time.perf_counter() - start
     mismatches = []
     for verdict in rows:
@@ -258,15 +244,9 @@ def _cmd_scan_scf(args) -> int:
 
 
 def _cmd_crit3a1(args) -> int:
-    _check_cap(args)
-    if args.generators:
-        gens = _load_generator_quats(args.generators)
-    else:
-        gens = criterion_generator_quats()
+    gens = _load_generator_quats(args.generators) if args.generators else None
     start = time.perf_counter()
-    group = standard_criterion_group()
-    rotations = rotation_group_from_quats(gens, cap=args.max_closure)
-    report = decide_criterion(group, rotations, cap=args.max_closure)
+    rotations, report, witness = run_criterion(gens, cap=args.max_closure)
     if isinstance(report, InfiniteCentralizer):
         payload = {
             "schema": 1,
@@ -278,20 +258,9 @@ def _cmd_crit3a1(args) -> int:
         _emit(args, payload, ["not applicable: %s" % (report.reason,)])
         return 3
     exit_code = 0
-    witness = None
-    if report.witness_chi is not None:
-        pair = build_witness_pair(report, group, rotations, cap=args.max_closure)
-        element_ok, _ = is_element_conjugate(pair)
-        verdict = decide_global(pair, cap=args.max_closure)
-        globally = isinstance(verdict, GloballyConjugate)
-        witness = {
-            "element_conjugate": element_ok,
-            "globally_conjugate": globally,
-            "source_order": pair.src.order,
-            "twists_examined": verdict.seeds_examined,
-        }
-        if not element_ok or globally:
-            exit_code = 1
+    if witness is not None and (not witness["element_conjugate"]
+                                or witness["globally_conjugate"]):
+        exit_code = 1
     payload = {
         "schema": 1,
         "command": "crit3a1",
@@ -384,6 +353,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_cap(args)
         return args.func(args)
     except (CertParamError, ClosureCapError, ExactAlgError, GroupError,
             GroupStructureError, NotAHomomorphismError) as exc:

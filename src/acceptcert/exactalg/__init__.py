@@ -1,7 +1,7 @@
 """Exact arithmetic layer: cyclotomic scalars and exact linear algebra.
 
-The scalar kernels are plain Python (``_purekernel``); ``KERNEL_NAME`` is
-always ``"pure"``.
+The scalar kernels are plain Python functions inside ``cyclotomic``;
+``KERNEL_NAME`` is always ``"pure"``.
 """
 
 from .cyclotomic import (

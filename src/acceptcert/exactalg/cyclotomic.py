@@ -12,6 +12,10 @@ floating point anywhere in this module.
 Mixed-conductor arithmetic embeds both operands into Q(zeta_lcm) first; the
 lcm is capped (``CONDUCTOR_CAP``, default 240) so degrees stay bounded.
 
+The integer kernels on coefficient vectors (``_add``, ``_mul_mod``,
+``_apply_rows`` and the rest) are private functions of this module, written
+in plain Python.  ``KERNEL_NAME`` names that kernel and is always ``"pure"``.
+
 Ordering
 --------
 ``sort_key`` gives a total order: lexicographic on (conductor, coefficient
@@ -27,9 +31,7 @@ import threading
 from fractions import Fraction
 from math import gcd
 
-from . import _kernel as K
-
-KERNEL_NAME = K.KERNEL_NAME
+KERNEL_NAME = "pure"
 
 CONDUCTOR_CAP = 240
 
@@ -249,6 +251,83 @@ def _check_cap(n: int) -> None:
         )
 
 
+# --- coefficient-vector kernels -----------------------------------------------
+#
+# The inner loops of the arithmetic, on raw ``(nums, den)`` pairs: ``nums`` is
+# a tuple of integers over the power basis, ``den`` a positive integer with
+# ``gcd(*nums, den) == 1``.  ``red`` is the tuple of reduction rows of a
+# conductor: ``red[j]`` is the basis expansion of ``x**(deg+j)``.
+
+
+def _normalize(nums, den):
+    """Reduce nums/den to lowest terms with a positive denominator."""
+    if den < 0:
+        den = -den
+        nums = [-v for v in nums]
+    g = den
+    for v in nums:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                break
+    if g > 1:
+        den //= g
+        nums = [v // g for v in nums]
+    return tuple(nums), den
+
+
+def _add(anums, aden, bnums, bden):
+    if aden == bden:
+        return _normalize([x + y for x, y in zip(anums, bnums)], aden)
+    return _normalize([x * bden + y * aden for x, y in zip(anums, bnums)], aden * bden)
+
+
+def _sub(anums, aden, bnums, bden):
+    if aden == bden:
+        return _normalize([x - y for x, y in zip(anums, bnums)], aden)
+    return _normalize([x * bden - y * aden for x, y in zip(anums, bnums)], aden * bden)
+
+
+def _scale(anums, aden, snum, sden):
+    if snum == 0:
+        return (0,) * len(anums), 1
+    return _normalize([snum * v for v in anums], aden * sden)
+
+
+def _mul_mod(anums, aden, bnums, bden, red):
+    """Product of two elements of the same conductor, reduced and normalized."""
+    deg = len(anums)
+    conv = [0] * (2 * deg - 1)
+    for i, a in enumerate(anums):
+        if a == 0:
+            continue
+        for j, b in enumerate(bnums):
+            if b:
+                conv[i + j] += a * b
+    out = conv[:deg]
+    for k in range(2 * deg - 2, deg - 1, -1):
+        c = conv[k]
+        if c:
+            row = red[k - deg]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+    return _normalize(out, aden * bden)
+
+
+def _apply_rows(nums, rows, deg):
+    """Integer basis substitution: sum of nums[k] * rows[k] over k."""
+    out = [0] * deg
+    for k, c in enumerate(nums):
+        if c == 0:
+            continue
+        row = rows[k]
+        for i, r in enumerate(row):
+            if r:
+                out[i] += c * r
+    return tuple(out)
+
+
 class CycNum:
     """One element of a cyclotomic field, always in reduced canonical form.
 
@@ -289,7 +368,7 @@ class CycNum:
                     continue  # rational case was handled above
                 fixed = True
                 for a in cond.fixer(d):
-                    if K.apply_rows(nums, cond.galois_rows(a), cond.deg) != tuple(nums):
+                    if _apply_rows(nums, cond.galois_rows(a), cond.deg) != tuple(nums):
                         fixed = False
                         break
                 if not fixed:
@@ -334,7 +413,7 @@ class CycNum:
         if self.n == n:
             return self.nums
         cond = _conductor(n)
-        return K.apply_rows(self.nums, cond.embed_rows(self.n), cond.deg)
+        return _apply_rows(self.nums, cond.embed_rows(self.n), cond.deg)
 
     @staticmethod
     def _common(a: "CycNum", b: "CycNum") -> int:
@@ -350,7 +429,7 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         n = self._common(self, other)
-        nums, den = K.add(self._lift(n), self.den, other._lift(n), other.den)
+        nums, den = _add(self._lift(n), self.den, other._lift(n), other.den)
         return CycNum._normalized(n, nums, den)
 
     __radd__ = __add__
@@ -360,7 +439,7 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         n = self._common(self, other)
-        nums, den = K.sub(self._lift(n), self.den, other._lift(n), other.den)
+        nums, den = _sub(self._lift(n), self.den, other._lift(n), other.den)
         return CycNum._normalized(n, nums, den)
 
     def __rsub__(self, other):
@@ -379,14 +458,14 @@ class CycNum:
         if self.is_zero() or other.is_zero():
             return ZERO
         if other.n == 1:
-            nums, den = K.scale(self.nums, self.den, other.nums[0], other.den)
+            nums, den = _scale(self.nums, self.den, other.nums[0], other.den)
             return CycNum._raw(self.n, nums, den)
         if self.n == 1:
-            nums, den = K.scale(other.nums, other.den, self.nums[0], self.den)
+            nums, den = _scale(other.nums, other.den, self.nums[0], self.den)
             return CycNum._raw(other.n, nums, den)
         n = self._common(self, other)
         cond = _conductor(n)
-        nums, den = K.mul_mod(self._lift(n), self.den, other._lift(n), other.den, cond.red)
+        nums, den = _mul_mod(self._lift(n), self.den, other._lift(n), other.den, cond.red)
         return CycNum._normalized(n, nums, den)
 
     __rmul__ = __mul__
@@ -444,11 +523,11 @@ class CycNum:
         if self.n == 1:
             return self
         cond = _conductor(self.n)
-        nums = K.apply_rows(self.nums, cond.galois_rows(self.n - 1), cond.deg)
-        nums, den = K.normalize(list(nums), self.den)
+        nums = _apply_rows(self.nums, cond.galois_rows(self.n - 1), cond.deg)
+        nums, den = _normalize(list(nums), self.den)
         return CycNum._raw(self.n, nums, den)
 
-    # --- canonical order, equality, serialization --------------------------
+    # --- canonical order and equality -------------------------------------
 
     def sort_key(self):
         key = self._key
@@ -482,16 +561,6 @@ class CycNum:
             h = hash((self.n, self.nums, self.den))
             self._hash = h
         return h
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": [_frac_str(Fraction(v, self.den)) for v in self.nums],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CycNum":
-        return cyc_make(int(obj["n"]), [Fraction(s) for s in obj["c"]])
 
     def __repr__(self):
         if self.n == 1:
@@ -599,7 +668,7 @@ def cyc_make(n: int, coeffs) -> CycNum:
     for c in coeffs:
         common = common * c.denominator // gcd(common, c.denominator)
     nums = [int(c * common) for c in coeffs]
-    nums, den = K.normalize(nums, common)
+    nums, den = _normalize(nums, common)
     return CycNum._normalized(n, nums, den)
 
 

@@ -12,7 +12,7 @@ cost in proportion to their nonzeros while dense ones cost what they did.
 
 Determinants use Gaussian elimination (O(n^3)).  Characteristic polynomials
 use the Faddeev-LeVerrier recurrence (division-free apart from rational
-scalar divisions), and inverses come from it by Cayley-Hamilton.
+scalar divisions).
 
 Subspaces of an ambient coordinate space are stored by their reduced row
 echelon basis, which is unique, so two Subspace objects are equal iff they
@@ -237,19 +237,6 @@ class ExactMatrix:
                     row[j] = row[j] - f * w
         return result
 
-    def inverse(self) -> "ExactMatrix":
-        """Inverse via Cayley-Hamilton: needs nonzero determinant."""
-        self._require_square("inverse")
-        cp = self.char_poly()
-        c_n = cp[-1]
-        if c_n.is_zero():
-            raise ExactAlgError("matrix is singular")
-        n = self.rows
-        acc = ExactMatrix.identity(n)       # builds M^(n-1) + c1 M^(n-2) + ...
-        for k in range(1, n):
-            acc = self * acc + ExactMatrix.identity(n).scaled(cp[k])
-        return acc.scaled(-c_n.inverse())
-
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -276,7 +263,7 @@ class ExactMatrix:
         # entries are canonical, so AB - BA = 0 exactly when AB == BA entrywise
         return self * other == other * self
 
-    # --- canonical order, equality, serialization --------------------------
+    # --- canonical order and equality ------------------------------------
 
     def sort_key(self):
         key = self._key
@@ -297,14 +284,6 @@ class ExactMatrix:
             h = hash((self.rows, self.cols, self.entries))
             self._hash = h
         return h
-
-    def to_json(self) -> list:
-        return [[self.entries[i * self.cols + j].to_json() for j in range(self.cols)]
-                for i in range(self.rows)]
-
-    @staticmethod
-    def from_json(data) -> "ExactMatrix":
-        return ExactMatrix.make([[CycNum.from_json(cell) for cell in row] for row in data])
 
     def __repr__(self):
         return "ExactMatrix(%dx%d)" % (self.rows, self.cols)

@@ -111,31 +111,6 @@ class FinGroup:
                     return False
         return True
 
-    def exponent(self) -> int:
-        out = 1
-        for i in range(self.order):
-            k = i
-            order = 1
-            while k != self.identity_index:
-                k = self.mul_idx(k, i)
-                order += 1
-            out = out * order // _gcd(out, order)
-        return out
-
-    def element_order(self, i: int) -> int:
-        k = i
-        order = 1
-        while k != self.identity_index:
-            k = self.mul_idx(k, i)
-            order += 1
-        return order
-
-    def subgroup_from_elements(self, elements, gen_indices=()) -> "FinGroup":
-        sub = FinGroup(elements, gen_indices)
-        for x in sub.elements:
-            self.idx(x)
-        return sub
-
     def is_normal_subset(self, sub_elements) -> bool:
         sub = set(sub_elements)
         for x in self.elements:
@@ -145,23 +120,8 @@ class FinGroup:
                     return False
         return True
 
-    def derived_subgroup(self) -> "FinGroup":
-        comms = [self.elements[self.identity_index]]
-        for i in range(self.order):
-            for j in range(self.order):
-                k = self.mul_idx(self.mul_idx(i, j),
-                                 self.mul_idx(self.inv_idx(i), self.inv_idx(j)))
-                comms.append(self.elements[k])
-        return closure(list(dict.fromkeys(comms)), cap=self.order)
-
     def __repr__(self):
         return "FinGroup(order=%d)" % self.order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def closure(generators, cap: int | None = None) -> FinGroup:
@@ -387,9 +347,6 @@ class Hom:
     def apply_idx(self, i: int):
         return self.images[i]
 
-    def image_elements(self) -> tuple:
-        return tuple(dict.fromkeys(self.images))
-
     def image_order(self) -> int:
         return len(set(self.images))
 
@@ -454,21 +411,7 @@ def identity_hom(src: FinGroup, target=None) -> Hom:
     return Hom(src, target, src.elements, verified=True)
 
 
-# --- centralizers, quotients, Hom-sets ----------------------------------------
-
-
-def centralizer_in(group: FinGroup, subset) -> FinGroup:
-    """Subgroup {x : xs = sx for every s in subset}; subset elements must lie in group."""
-    subset = list(subset)
-    for s in subset:
-        group.idx(s)
-    members = []
-    for x in group.elements:
-        if all(x * s == s * x for s in subset):
-            members.append(x)
-    sub = FinGroup(members)
-    sub.gen_indices = tuple(range(sub.order))
-    return sub
+# --- quotients and Hom-sets ---------------------------------------------------
 
 
 class _CosetContext:

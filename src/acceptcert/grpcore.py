@@ -146,16 +146,6 @@ class Quat:
             self._hash = h
         return h
 
-    def to_json(self) -> dict:
-        return {"q": [self.a.to_json(), self.b.to_json(), self.c.to_json(), self.d.to_json()]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Quat":
-        comps = obj["q"]
-        if len(comps) != 4:
-            raise GroupError("quaternion JSON needs exactly 4 components")
-        return Quat.make(*(CycNum.from_json(c) for c in comps))
-
     def __repr__(self):
         return "Quat(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
@@ -243,23 +233,10 @@ class Factor:
             return (Quat.one(), -Quat.one())
         return (ExactMatrix.identity(3),)
 
-    def part_inverse(self, part):
-        if self.kind == "Sp1":
-            return part.conj()
-        return part.conj_transpose()
-
     def describe(self) -> str:
         if self.kind == "SU":
             return "SU(%d)" % self.n
         return "Sp(1)" if self.kind == "Sp1" else "SO(3)"
-
-    def part_to_json(self, part):
-        return part.to_json()
-
-    def part_from_json(self, obj):
-        if self.kind == "Sp1":
-            return Quat.from_json(obj)
-        return ExactMatrix.from_json(obj)
 
     def __repr__(self):
         return "Factor(%s)" % self.describe()
@@ -544,19 +521,6 @@ class GroupSpec:
                 seen.append(w)
                 out.append(w)
         return tuple(sorted(out, key=lambda e: e.sort_key()))
-
-    # serialization
-
-    def element_to_json(self, x) -> list:
-        amb = self.ambient_of(x)
-        return [f.part_to_json(p) for f, p in zip(self.factors, amb.parts)]
-
-    def element_from_json(self, data, validate: bool = True):
-        if len(data) != len(self.factors):
-            raise GroupError("expected %d components, got %d"
-                             % (len(self.factors), len(data)))
-        parts = tuple(f.part_from_json(obj) for f, obj in zip(self.factors, data))
-        return self.wrap_parts(parts, validate=validate)
 
     def describe(self) -> str:
         base = " x ".join(f.describe() for f in self.factors)

@@ -36,6 +36,7 @@ from .exactalg import (
     subspace_intersect,
     unflatten_matrix,
 )
+from .fingrp import ClosureCapError, default_closure_cap
 from .grpcore import GroupError
 
 MINUS_ONE = cyc_rational(-1)
@@ -407,7 +408,19 @@ def closed_form_outcome(kind: str, k: int, m: int) -> str:
     return "holds"
 
 
-def scan_angles(kind: str, n: int, denominators) -> list:
-    """decide_eq2 over every angle of scan_grid(denominators), in its order."""
+def scan_angles(kind: str, n: int, denominators, cap: int | None = None) -> list:
+    """decide_eq2 over every angle of scan_grid(denominators), in its order.
+
+    Each angle enumerates the 2^(2n+2) diagonal sign matrices of SO(2n+2),
+    and at most that many centralizer translates.  When that count exceeds
+    ``cap`` (default: ``default_closure_cap()``), ClosureCapError is raised
+    before any angle is scanned.
+    """
     fam = SymPairFamily(kind, n)
+    if cap is None:
+        cap = default_closure_cap()
+    signs = 2 ** fam.ambient_dim
+    if signs > cap:
+        raise ClosureCapError("the scan enumerates %d sign matrices, over the cap of %d"
+                              % (signs, cap))
     return [decide_eq2(fam, Angle.make(k, m)) for k, m in scan_grid(denominators)]

@@ -220,30 +220,6 @@ def so3_centralizer(delta: FinGroup, cap: int | None = None):
     return group
 
 
-def sp1_centralizer(delta: FinGroup):
-    """Centralizer in Sp(1) of a finite quaternion group, when it is finite.
-
-    Finite exactly when two elements have non-parallel imaginary parts, and
-    then it is {1, -1}.  Otherwise the family sits inside one circle subgroup
-    and the centralizer contains that whole circle.
-    """
-    dirs = []
-    for q in delta:
-        vec = (q.b, q.c, q.d)
-        if all(v.is_zero() for v in vec):
-            continue
-        dirs.append(_canonical_direction(vec))
-    if not dirs:
-        return InfiniteCentralizer("every quaternion in the family is central")
-    first = dirs[0]
-    if all(d == first for d in dirs):
-        return InfiniteCentralizer("all imaginary parts share one axis")
-    one = Quat.one()
-    group = FinGroup([one, -one])
-    group.gen_indices = tuple(range(group.order))
-    return group
-
-
 # --- rotation triples with remembered lifts --------------------------------------
 
 

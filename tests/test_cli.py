@@ -173,6 +173,35 @@ def test_max_closure_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("verify", "su4_mod_center"),
+    ("scan-scf", "o-odd", "1"),
+])
+def test_max_closure_is_checked_for_every_subcommand(capsys, argv):
+    for bad in ("-5", "0"):
+        code, out, err = run_cli(capsys, *argv, "--max-closure", bad)
+        assert code == 2 and not out
+        assert err == "error: --max-closure must be a positive integer\n"
+
+
+def test_scans_stop_at_the_closure_cap(tmp_path, capsys, monkeypatch):
+    # n = 9 scans 2^20 sign matrices per angle, over the default cap of 100000
+    monkeypatch.delenv("ACCEPTCERT_MAX_CLOSURE", raising=False)
+    params = tmp_path / "grid.json"
+    params.write_text(json.dumps({"scf_o_odd": [{"n": 9, "denominators": [4]}]}))
+    for argv in (("scan-scf", "o-odd", "9", "--denominators", "4"),
+                 ("verify", "scf_o_odd", "--params", str(params)),
+                 ("scan-scf", "o-odd", "1", "--max-closure", "15"),
+                 ("verify", "scf_o_odd", "--max-closure", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "sign matrices, over the cap of" in err
+    # n = 1 scans 2^4 = 16 sign matrices: a cap of 16 is enough
+    code, out, err = run_cli(capsys, "scan-scf", "o-odd", "1", "--max-closure", "16")
+    assert code == 0 and not err
+
+
 @pytest.mark.parametrize("grid, needle", [
     ({"sp1_diag": [{"m": 4}]}, "'eps'"),
     ({"scf_o_odd": [{"n": 1, "denominators": "ab"}]}, "'denominators'"),

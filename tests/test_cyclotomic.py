@@ -174,8 +174,9 @@ def test_sort_key_separates_values(a, b):
 @settings(max_examples=100)
 @given(cyc_numbers())
 def test_json_form_is_stable(a):
-    assert a.to_json() == a.to_json()
-    assert (a + ZERO).to_json() == a.to_json()
+    # the reduced form is canonical: adding zero gives back the same triple
+    b = a + ZERO
+    assert (b.n, b.nums, b.den) == (a.n, a.nums, a.den)
 
 
 @settings(max_examples=100)

@@ -165,16 +165,6 @@ def test_ambient_element_algebra():
     assert (x * x.inverse()).is_identity()
 
 
-def test_element_json_roundtrip():
-    g = GroupSpec((su_factor(4),), center_gens=((MINUS_I4,),))
-    m = ExactMatrix.diagonal([ONE, ONE, cyc_i(), -cyc_i()])
-    el = g.wrap_parts((m,))
-    assert g.element_from_json(g.element_to_json(el)) == el
-    trivial = GroupSpec((sp1_factor(),))
-    q = trivial.wrap_parts((QUAT_K,))
-    assert trivial.element_from_json(trivial.element_to_json(q)) == q
-
-
 def test_mixed_factor_group():
     g = GroupSpec((su_factor(2), sp1_factor(), so3_factor()))
     el = g.wrap_parts((

@@ -7,6 +7,8 @@ from tests/oracles/symmetric_pair_samples.py and commutant_dims.py.
 import pytest
 
 from acceptcert.exactalg import ExactMatrix, ONE, ZERO, Subspace, cyc_half, flatten_matrix
+from acceptcert import scfcheck
+from acceptcert.fingrp import ClosureCapError
 from acceptcert.grpcore import GroupError
 from acceptcert.scfcheck import (
     Angle,
@@ -144,6 +146,21 @@ def test_scan_refinement_consistency():
             for v in scan_angles(KIND_O_ODD, 1, (8,))}
     for (k, m), outcome in coarse.items():
         assert fine[(2 * k, 2 * m)] == outcome
+
+
+def test_scan_refuses_sign_enumerations_over_the_cap(monkeypatch):
+    # SO(2n+2) has 2^(2n+2) diagonal sign matrices: 16 at n = 1
+    with pytest.raises(ClosureCapError, match="16 sign matrices"):
+        scan_angles(KIND_O_ODD, 1, (4,), cap=15)
+    assert len(scan_angles(KIND_SO_ODD, 1, (4,), cap=16)) == 4
+
+    def refuse(fam, ang):
+        raise AssertionError("an angle was scanned")
+
+    monkeypatch.setattr(scfcheck, "decide_eq2", refuse)
+    monkeypatch.delenv("ACCEPTCERT_MAX_CLOSURE", raising=False)
+    with pytest.raises(ClosureCapError, match="1048576 sign matrices"):
+        scan_angles(KIND_O_ODD, 9, (4,))
 
 
 def test_family_validation():

@@ -30,7 +30,6 @@ from acceptcert.so3crit import (
     rotation_info,
     rotation_triple,
     so3_centralizer,
-    sp1_centralizer,
     standard_criterion_group,
 )
 
@@ -88,14 +87,6 @@ def test_so3_centralizer_degenerate_cases():
     parallel = so3_centralizer([rot(QUAT_I), rot(eta_quat())])
     assert isinstance(parallel, InfiniteCentralizer)
     assert "parallel" in parallel.reason
-
-
-def test_sp1_centralizer():
-    cz = sp1_centralizer([QUAT_I, QUAT_J])
-    assert not isinstance(cz, InfiniteCentralizer)
-    assert cz.order == 2
-    assert isinstance(sp1_centralizer([QUAT_I]), InfiniteCentralizer)
-    assert isinstance(sp1_centralizer([Quat.one()]), InfiniteCentralizer)
 
 
 def test_standard_group_shape():
