@@ -192,7 +192,7 @@ def _build_su4_mod_center(params):
                       (g.wrap_parts((a,)), g.wrap_parts((b,))), target=g)
     fp = hom_from_gens(src, src.gen_indices,
                        (g.wrap_parts((a.conj(),)), g.wrap_parts((b.conj(),))), target=g)
-    return g, HomPair(f, fp), True
+    return g, HomPair(f, fp)
 
 
 def _build_sp1_diag(params):
@@ -216,7 +216,7 @@ def _build_sp1_diag(params):
                       (g.wrap_parts(im1), g.wrap_parts(im2)), target=g)
     fp = hom_from_gens(src, src.gen_indices,
                        (g.wrap_parts(im1), g.wrap_parts(im2p)), target=g)
-    return g, HomPair(f, fp), True
+    return g, HomPair(f, fp)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -245,7 +245,7 @@ def _build_psu_odd_prime(params):
                       (g.wrap_parts((shift,)), g.wrap_parts((diag,))), target=g)
     fp = hom_from_gens(src, src.gen_indices,
                        (g.wrap_parts((shift,)), g.wrap_parts((diag * diag,))), target=g)
-    return g, HomPair(f, fp), False
+    return g, HomPair(f, fp)
 
 
 def _build_su4_power_d4(params):
@@ -260,7 +260,7 @@ def _build_su4_power_d4(params):
     fp = hom_from_gens(src, src.gen_indices,
                        (g.wrap_parts((a.conj(),) * k), g.wrap_parts((b.conj(),) * k)),
                        target=g)
-    return g, HomPair(f, fp), False
+    return g, HomPair(f, fp)
 
 
 # --- randomized sanity pairs --------------------------------------------------------
@@ -505,7 +505,7 @@ def _find_certificate(cert_id: str) -> Certificate:
 
 
 def _run_hompair(cert: Certificate, params, cap):
-    g, pair, use_oracle = _HOMPAIR_BUILDERS[cert.id](params)
+    g, pair = _HOMPAIR_BUILDERS[cert.id](params)
     ec, _ = is_element_conjugate(pair)
     verdict = decide_global(pair, cap=cap)
     gc = isinstance(verdict, GloballyConjugate)
@@ -516,7 +516,7 @@ def _run_hompair(cert: Certificate, params, cap):
         "pair_group_order": verdict.p_order,
         "twists_examined": verdict.seeds_examined,
     }
-    if use_oracle:
+    if "oracle_agrees" in cert.expected_for(params):
         verdicts["oracle_agrees"] = abelian_weight_oracle(pair) == gc
     return verdicts, counts
 

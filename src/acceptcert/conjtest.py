@@ -16,7 +16,8 @@ Everything is computed exactly; no numerics, no tolerance.
 from __future__ import annotations
 
 from .exactalg import cyc_rational
-from .grpcore import AmbientElement, Factor, GroupSpec, GroupError, QuotElement
+from .fingrp import CosetElement
+from .grpcore import AmbientElement, Factor, GroupSpec, GroupError
 
 _TWO = cyc_rational(2)
 
@@ -42,7 +43,7 @@ def elements_conjugate(g: GroupSpec, x, y) -> bool:
     Ghat-conjugacy is the per-factor invariant equality.
     """
     for v in (x, y):
-        if isinstance(v, QuotElement) and v.group is not g:
+        if isinstance(v, CosetElement) and v.ctx is not g.cosets:
             raise GroupError("element belongs to a different group")
     xa = g.ambient_of(x)
     ya = g.ambient_of(y)

@@ -1,16 +1,21 @@
 """Finite group engine: closures, formal presented groups, verified homomorphisms.
 
 Elements are anything with __mul__, inverse(), is_identity(), sort_key(),
-__eq__ and __hash__: ambient or quotient elements from grpcore, formal
-normal-form tuples from this module, or coset elements of finite quotients.
+__eq__ and __hash__: ambient elements from grpcore, formal normal-form
+tuples from this module, or CosetElements.  A CosetElement is a coset x N of
+a normal subgroup N, held by its least translate s x (s in N) under the
+sort key; the finite quotients of quotient_by_central and the central
+quotients of grpcore.GroupSpec both use it.
 
 A FinGroup stores a sorted, deduplicated element tuple and answers
-multiplication by index.  Homomorphisms are stored total (one image per source
-element) and are verified at construction: on the edges x -> x g of the
-source's generators when those generate it (O(n |gens|) products, proved
-sufficient in Hom.verify), and on every pair of source elements otherwise.
-A failed relation raises NotAHomomorphismError, which callers treat as a
-meaningful verdict rather than a crash.
+multiplication by index.  FinGroup.walk is the one search over generators:
+the edges x -> x g for every element x and generator g, and a breadth-first
+tree over them.  Homomorphisms are stored total (one image per source
+element) and are verified at construction: on the walk's edges when the
+generators generate the source (O(n |gens|) products, proved sufficient in
+Hom.verify), and on every pair of source elements otherwise.  A failed
+relation raises NotAHomomorphismError, which callers treat as a meaningful
+verdict rather than a crash.
 """
 
 from __future__ import annotations
@@ -98,6 +103,36 @@ class FinGroup:
             k = self.idx(self.elements[i].inverse())
             self._inv[i] = k
         return k
+
+    def walk(self, gens) -> tuple:
+        """(edges, tree): the generator edges and a breadth-first tree over them.
+
+        ``edges[i]`` maps each generator index g to i g (``mul_idx``, so the
+        n |gens| products are memoized); repeated generators and the
+        identity are dropped.  ``tree`` lists, in breadth-first order from
+        the identity, one triple (j, i, g) per other element reached, with
+        j = i g = edges[i][g]; it has ``order - 1`` entries exactly when the
+        generators generate the group.  Every reached element is thus a word
+        in the generators, which is what the word-length inductions of
+        Hom.verify and homcheck.decide_global rest on.
+        """
+        ident = self.identity_index
+        gens = [g for g in dict.fromkeys(gens) if g != ident]
+        edges = [{g: self.mul_idx(i, g) for g in gens} for i in range(self.order)]
+        tree = []
+        reached = [False] * self.order
+        reached[ident] = True
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g, j in edges[i].items():
+                    if not reached[j]:
+                        reached[j] = True
+                        tree.append((j, i, g))
+                        nxt.append(j)
+            frontier = nxt
+        return edges, tree
 
     def generators(self) -> tuple:
         return tuple(self.elements[i] for i in self.gen_indices)
@@ -299,19 +334,19 @@ class Hom:
     def verify(self) -> None:
         """Raise NotAHomomorphismError unless f(x)f(y) = f(xy) for all x, y.
 
-        After checking f(e) = e, a breadth-first search from e over the
-        right multiplications x -> x g by the recorded generators g (the
-        identity left out) checks f(x)f(g) = f(xg) on every edge it visits.
-        When the search reaches every element, this proves f a
-        homomorphism.  The search checks the edges out of every element, so
-        f(x g) = f(x) f(g) holds for all x and every generator g; and the
-        search tree writes every y as a word g1 ... gk in the generators.
-        Induct on k to show f(x y) = f(x) f(y) for all x: for k = 0, y = e
-        and f(x e) = f(x) = f(x) f(e) since f(e) = e; for y = y' g,
-        f(x y' g) = f(x y') f(g) = f(x) f(y') f(g) = f(x) f(y' g), the last
-        step being the edge (y', g).  This costs O(n |gens|) products
-        instead of O(n^2).  When no generators are recorded, or they do not
-        generate the source, every pair is checked instead.
+        After checking f(e) = e, it checks f(x)f(g) = f(xg) on every edge
+        x -> x g of ``src.walk`` over the recorded generators, element by
+        element in the walk's breadth-first order.  When the walk reaches
+        every element, this proves f a homomorphism.  The edges out of every
+        element are checked, so f(x g) = f(x) f(g) holds for all x and every
+        generator g; and the walk's tree writes every y as a word g1 ... gk
+        in the generators.  Induct on k to show f(x y) = f(x) f(y) for all
+        x: for k = 0, y = e and f(x e) = f(x) = f(x) f(e) since f(e) = e;
+        for y = y' g, f(x y' g) = f(x y') f(g) = f(x) f(y') f(g) =
+        f(x) f(y' g), the last step being the edge (y', g).  This costs
+        O(n |gens|) products instead of O(n^2).  When the generators do not
+        reach every element (or none are recorded), every pair is checked
+        instead.
         """
         src = self.src
         images = self.images
@@ -319,23 +354,13 @@ class Hom:
         if not images[ident].is_identity():
             raise NotAHomomorphismError("identity does not map to identity",
                                         pair=(ident, ident))
-        gens = [gi for gi in dict.fromkeys(src.gen_indices) if gi != ident]
-        reached = [False] * src.order
-        reached[ident] = True
-        frontier = [ident] if gens else []
-        while frontier:
-            nxt = []
-            for i in frontier:
-                fi = images[i]
-                for gi in gens:
-                    j = src.mul_idx(i, gi)
-                    if fi * images[gi] != images[j]:
-                        raise _relation_failure(i, gi)
-                    if not reached[j]:
-                        reached[j] = True
-                        nxt.append(j)
-            frontier = nxt
-        if all(reached):
+        edges, tree = src.walk(src.gen_indices)
+        for i in [ident] + [j for j, _, _ in tree]:
+            fi = images[i]
+            for gi, j in edges[i].items():
+                if fi * images[gi] != images[j]:
+                    raise _relation_failure(i, gi)
+        if len(tree) == src.order - 1:
             return
         pair = first_failing_pair(src, images)
         if pair is not None:
@@ -375,7 +400,10 @@ def first_failing_pair(src: FinGroup, images):
 def hom_from_gens(src: FinGroup, gen_indices, images, target=None) -> Hom:
     """Extend generator images multiplicatively and verify the extension.
 
-    Raises NotAHomomorphismError when the images satisfy no consistent
+    The image of j = i g on the tree of ``src.walk(gen_indices)`` is
+    f(i) f(g); a repeated generator keeps its first image.  Raises
+    GroupStructureError unless the walk reaches every element, and
+    NotAHomomorphismError when the images satisfy no consistent
     extension: that exception is a verdict (the assignment is not a
     homomorphism), not a failure of the machinery.
     """
@@ -383,7 +411,6 @@ def hom_from_gens(src: FinGroup, gen_indices, images, target=None) -> Hom:
     images = tuple(images)
     if len(gen_indices) != len(images):
         raise GroupStructureError("generator/image count mismatch")
-    total = [None] * src.order
     if gen_indices:
         some = images[0]
         ident_img = some * some.inverse()
@@ -391,19 +418,16 @@ def hom_from_gens(src: FinGroup, gen_indices, images, target=None) -> Hom:
         if target is None:
             raise GroupStructureError("trivial generating set needs a target")
         ident_img = target.identity()
-    total[src.identity_index] = ident_img
-    frontier = [src.identity_index]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, img in zip(gen_indices, images):
-                j = src.mul_idx(i, g)
-                if total[j] is None:
-                    total[j] = total[i] * img
-                    nxt.append(j)
-        frontier = nxt
-    if any(v is None for v in total):
+    image_of = {}
+    for g, img in zip(gen_indices, images):
+        image_of.setdefault(g, img)
+    _, tree = src.walk(gen_indices)
+    if len(tree) != src.order - 1:
         raise GroupStructureError("given indices do not generate the group")
+    total = [None] * src.order
+    total[src.identity_index] = ident_img
+    for j, i, g in tree:
+        total[j] = total[i] * image_of[g]
     return Hom(src, target, tuple(total))
 
 
@@ -414,8 +438,14 @@ def identity_hom(src: FinGroup, target=None) -> Hom:
 # --- quotients and Hom-sets ---------------------------------------------------
 
 
-class _CosetContext:
-    """Shared data for one finite quotient: the normal subgroup's elements."""
+class CosetContext:
+    """Shared data for one quotient: the normal subgroup's elements.
+
+    ``canonical(x)`` is the least translate s x over s in the subgroup N
+    under the sort key, the representative every CosetElement of the
+    quotient holds, so two cosets are equal iff their representatives are.
+    N is normal, so N x = x N and this is the least element of x N too.
+    """
 
     __slots__ = ("normal",)
 
@@ -426,7 +456,7 @@ class _CosetContext:
         best = None
         best_key = None
         for s in self.normal:
-            cand = x * s
+            cand = s * x
             key = cand.sort_key()
             if best is None or key < best_key:
                 best = cand
@@ -439,7 +469,7 @@ class CosetElement:
 
     __slots__ = ("ctx", "rep", "_hash")
 
-    def __init__(self, ctx: _CosetContext, rep):
+    def __init__(self, ctx: CosetContext, rep):
         self.ctx = ctx
         self.rep = rep
         self._hash = None
@@ -484,7 +514,7 @@ def quotient_by_central(group: FinGroup, normal: FinGroup):
         group.idx(s)
     if not group.is_normal_subset(normal.elements):
         raise GroupStructureError("subgroup is not normal")
-    ctx = _CosetContext(tuple(normal.elements))
+    ctx = CosetContext(tuple(normal.elements))
     cosets = {}
     images = []
     for x in group.elements:
@@ -538,7 +568,5 @@ def hom_set_to_elem_abelian_2(src: FinGroup, target: FinGroup) -> list:
             for b in decomp[i]:
                 acc = target.mul_idx(acc, assignment[b])
             images.append(target.elements[acc])
-        homs.append(Hom(src, target, tuple(images), verified=True))
-    for h in homs[: min(len(homs), 4)]:
-        h.verify()
+        homs.append(Hom(src, target, tuple(images)))
     return homs

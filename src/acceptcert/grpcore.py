@@ -3,9 +3,11 @@
 Group elements are exact objects: an SU(n) or SO(3) component is an
 ExactMatrix, an Sp(1) component is a unit quaternion with real cyclotomic
 components.  An element of a product is an AmbientElement (tuple of
-components); an element of a central quotient is a QuotElement storing the
-canonical coset representative (minimum of the coset under the deterministic
-sort key), so equality and hashing are plain structural comparisons.
+components); an element of a central quotient is a fingrp.CosetElement over
+the GroupSpec's coset context, storing the canonical coset representative
+(the least translate z x, z in Z, under the deterministic sort key), so
+equality and hashing are plain structural comparisons.  Z is enumerated by
+fingrp.closure.
 
 Component parts are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  A module table maps each part value to one canonical
@@ -30,14 +32,14 @@ first differing component.  A part that was never interned, or that was
 interned before the tables were last cleared, is still equal to its
 canonical twin under ``__eq__``, so it only takes the slower path.
 
-The canonical table and the memos share one bound, ``ACCEPTCERT_MULCACHE``
-entries per table, and are cleared together when a table reaches it.
+The canonical table and the memos share one bound, ``_MUL_CACHE_LIMIT``
+(400000) entries per table, and are cleared together when a table reaches
+it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 from .exactalg import (
     CycNum,
@@ -49,6 +51,7 @@ from .exactalg import (
     cyc_zeta,
 )
 from .exactalg.cyclotomic import _coerce
+from .fingrp import CosetContext, CosetElement, closure
 
 
 class GroupError(ExactAlgError):
@@ -260,7 +263,7 @@ def so3_factor() -> Factor:
 _PARTS: dict = {}       # part value -> its canonical object
 _MUL_CACHE: dict = {}   # (part, part) -> canonical product
 _INV_CACHE: dict = {}   # part -> canonical inverse
-_MUL_CACHE_LIMIT = int(os.environ.get("ACCEPTCERT_MULCACHE", "400000"))
+_MUL_CACHE_LIMIT = 400000
 
 
 def _clear_tables() -> None:
@@ -357,50 +360,6 @@ class AmbientElement:
         return "AmbientElement(%d parts)" % len(self.parts)
 
 
-class QuotElement:
-    """Element of an ambient group modulo a finite central subgroup.
-
-    Stores the canonical representative: the minimum of the coset under the
-    deterministic sort key.  Two cosets are equal iff their reps are equal.
-    """
-
-    __slots__ = ("group", "rep", "_hash")
-
-    def __init__(self, group: "GroupSpec", rep: AmbientElement):
-        self.group = group
-        self.rep = rep
-        self._hash = None
-
-    def __mul__(self, other: "QuotElement") -> "QuotElement":
-        if self.group is not other.group:
-            raise GroupError("cannot multiply elements of different quotient groups")
-        return QuotElement(self.group, self.group.coset_rep(self.rep * other.rep))
-
-    def inverse(self) -> "QuotElement":
-        return QuotElement(self.group, self.group.coset_rep(self.rep.inverse()))
-
-    def is_identity(self) -> bool:
-        return self.rep.is_identity()
-
-    def sort_key(self):
-        return self.rep.sort_key()
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotElement):
-            return NotImplemented
-        return self.group is other.group and self.rep == other.rep
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.rep)
-            self._hash = h
-        return h
-
-    def __repr__(self):
-        return "QuotElement(%r)" % (self.rep,)
-
-
 # --- target group layout ------------------------------------------------------
 
 
@@ -422,8 +381,10 @@ class GroupSpec:
             elem = self.element(parts, validate=False)
             self._validate_central(elem)
             gens.append(elem)
-        self.z_subgroup = self._close_center(gens)
+        self.z_subgroup = (closure(gens).elements if gens
+                           else (self.identity_ambient(),))
         self.is_quotient = len(self.z_subgroup) > 1
+        self.cosets = CosetContext(self.z_subgroup)
 
     # construction helpers
 
@@ -449,38 +410,19 @@ class GroupSpec:
                 )
             factor.validate(part)
 
-    def _close_center(self, gens) -> tuple:
-        ident = self.identity_ambient()
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen, key=lambda e: e.sort_key()))
-
     # quotient structure
 
     def coset_rep(self, x: AmbientElement) -> AmbientElement:
+        """The least translate z x, z in Z: the representative of the coset Z x."""
         if not self.is_quotient:
             return x
-        best = None
-        for z in self.z_subgroup:
-            cand = z * x
-            if best is None or cand.sort_key() < best.sort_key():
-                best = cand
-        return best
+        return self.cosets.canonical(x)
 
     def wrap(self, x: AmbientElement):
-        """Group element for the ambient x (a QuotElement when Z is nontrivial)."""
+        """Group element for the ambient x (a CosetElement when Z is nontrivial)."""
         if not self.is_quotient:
             return x
-        return QuotElement(self, self.coset_rep(x))
+        return CosetElement(self.cosets, self.coset_rep(x))
 
     def wrap_parts(self, parts, validate: bool = True):
         return self.wrap(self.element(parts, validate=validate))
@@ -488,17 +430,10 @@ class GroupSpec:
     def identity(self):
         return self.wrap(self.identity_ambient())
 
-    def lifts(self, x) -> tuple:
-        """All ambient preimages of a group element (the coset Z times rep)."""
-        amb = self.ambient_of(x)
-        if not self.is_quotient:
-            return (amb,)
-        return tuple(z * amb for z in self.z_subgroup)
-
     @staticmethod
     def ambient_of(x) -> AmbientElement:
         """The ambient representative of x (for a coset, its canonical one)."""
-        return x.rep if isinstance(x, QuotElement) else x
+        return x.rep if isinstance(x, CosetElement) else x
 
     # centers
 

@@ -27,8 +27,8 @@ oracles.  Global conjugacy is decided by the central-twist procedure:
 
 Everything below runs on small integer tables once the edge discrepancies
 are computed, so exhaustion over a few hundred seeds is fast.  Of the
-source's multiplication only the generator edges are needed
-(_generator_edges).
+source's multiplication only the generator edges are needed, and
+FinGroup.walk provides them with the breadth-first order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import itertools
 from .conjtest import character_vector, elements_conjugate
 from .exactalg import cyc_i
 from .fingrp import (
-    FinGroup,
     Hom,
     NotAHomomorphismError,
     closure,
@@ -116,48 +115,6 @@ def is_element_conjugate(pair: HomPair):
     return True, None
 
 
-def _generator_edges(src: FinGroup, seed_gens) -> tuple:
-    """(edges, visit): the generator edges of the source and a search order.
-
-    edges[i] maps the identity and each seed generator g to i g.  The
-    n |seed_gens| products i g are the only ones made (``src.mul_idx``,
-    memoized by the source, so the edges Hom.verify has checked cost nothing
-    here); i e = i is no product.  ``visit`` lists, in breadth-first order
-    from the identity and the preset generators, one triple (j, p, g) per
-    other element with j = p g = edges[p][g]; the search raises GroupError
-    unless it reaches every element.  Every element is thus a word in the
-    seed generators, which is all decide_global needs of the source.
-    """
-    n = src.order
-    ident = src.identity_index
-    edges = []
-    for i in range(n):
-        row = {ident: i}
-        for gi in seed_gens:
-            row[gi] = src.mul_idx(i, gi)
-        edges.append(row)
-
-    visit = []
-    visited = [False] * n
-    visited[ident] = True
-    for gi in seed_gens:
-        visited[gi] = True
-    frontier = [ident] + list(seed_gens)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gi in seed_gens:
-                j = edges[i][gi]
-                if not visited[j]:
-                    visited[j] = True
-                    visit.append((j, i, gi))
-                    nxt.append(j)
-        frontier = nxt
-    if not all(visited):
-        raise GroupError("recorded generators do not generate the source group")
-    return edges, visit
-
-
 def _edge_discrepancy(a_list, b_list, edges, z_index, z_mul) -> list:
     """d = c' c^(-1) on the generator edges, as indices into Z.
 
@@ -190,19 +147,22 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
     """Global-conjugacy verdict via central twist exhaustion (see module doc).
 
     The lift discrepancies are formed on the generator edges x -> x g only,
-    for every x and every g in {e} and the seed generators (_edge_discrepancy).
-    That check is exactly the all-pairs one: if a(x) a(g) lies in Z a(xg)
-    on every edge, then a(x) a(y) lies in Z a(xy) for every pair, by
-    induction on the length of a word y in the generators.  For y = e it is
-    the identity edge (x, e); for y = y' g, since Z is central,
+    for every x and every g in {e} and the seed generators: the edges of
+    ``src.walk`` plus the identity edge (_edge_discrepancy).  The walk's
+    tree writes every element as a word in the seed generators; GroupError
+    is raised unless it reaches every element.  The edge check is exactly
+    the all-pairs one: if a(x) a(g) lies in Z a(xg) on every edge, then
+    a(x) a(y) lies in Z a(xy) for every pair, by induction on the length of
+    a word y in the generators.  For y = e it is the identity edge (x, e);
+    for y = y' g, since Z is central,
     a(x) a(y' g) in Z a(x) a(y') a(g)      (edge (y', g))
                  in Z a(x y') a(g)         (induction hypothesis)
                  in Z a(x y' g)            (edge (x y', g)).
     The same holds for b, so c and c' take values in Z on every pair, and the
     lift overrides refused are exactly those with a discrepancy outside Z.
 
-    Each seed's twist z is propagated along the search tree of
-    _generator_edges and then checked only on the same edges:
+    Each seed's twist z is propagated along the tree of ``src.walk`` and
+    then checked only on the same edges:
     z(x g) = z(x) z(g) d(x, g) with d = c' c^(-1).  This implies the
     equation for every pair.  c and c' lie in the central (so abelian) Z,
     and by associativity each satisfies the 2-cocycle identity
@@ -240,13 +200,15 @@ def decide_global(pair: HomPair, lifts_override=None, cap=None):
     z_mul = [[z_index[zs[i] * zs[j]] for j in range(nz)] for i in range(nz)]
 
     ident = src.identity_index
-    seed_gens = []
-    for gi in (src.gen_indices or range(n)):
-        if gi != ident and gi not in seed_gens:
-            seed_gens.append(gi)
-    # fixed propagation order over the source group; generator values are
-    # preset per seed, everything else extends along the visit edges
-    edges, visit = _generator_edges(src, seed_gens)
+    # fixed propagation order over the source group: generator values are
+    # preset per seed, everything else extends along the rest of the tree,
+    # whose first len(seed_gens) triples are the edges e -> g
+    walk_edges, tree = src.walk(src.gen_indices or range(n))
+    if len(tree) != n - 1:
+        raise GroupError("recorded generators do not generate the source group")
+    seed_gens = list(walk_edges[ident])
+    edges = [{ident: i, **row} for i, row in enumerate(walk_edges)]
+    visit = tree[len(seed_gens):]
     d_tab = _edge_discrepancy(a_list, b_list, edges, z_index, z_mul)
 
     # preimage groups Z . lifts.  The edge discrepancies put a(p g) in

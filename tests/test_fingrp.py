@@ -148,6 +148,21 @@ def test_hom_set_to_elem_abelian_2():
         hom_set_to_elem_abelian_2(closure([QUAT_I]), klein)
 
 
+def test_hom_set_to_elem_abelian_2_verifies_every_hom(monkeypatch):
+    klein = formal_group(FormalGroupSpec.cyclic_product(2, 2))
+    calls = []
+    reference = fingrp.Hom.verify
+
+    def spy(hom):
+        calls.append(hom)
+        return reference(hom)
+
+    monkeypatch.setattr(fingrp.Hom, "verify", spy)
+    homs = hom_set_to_elem_abelian_2(klein, klein)
+    assert len(homs) == 16
+    assert [id(h) for h in calls] == [id(h) for h in homs]
+
+
 def test_subgroup_and_normality():
     q8 = quaternion_group()
     assert q8.is_normal_subset([Quat.one(), -Quat.one()])

@@ -7,9 +7,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acceptcert import grpcore
+from acceptcert import certsuite, grpcore, so3crit
 from acceptcert.certsuite import run
 from acceptcert.exactalg import ExactMatrix, ONE, ZERO, cyc_half, cyc_i, cyc_rational
+from acceptcert.fingrp import GroupStructureError
 from acceptcert.grpcore import (
     AmbientElement,
     GroupError,
@@ -114,8 +115,53 @@ def test_quotient_elements_of_different_groups_do_not_multiply():
     g = GroupSpec((su_factor(4),), center_gens=((MINUS_I4,),))
     h = GroupSpec((su_factor(4),), center_gens=((MINUS_I4,),))
     m = ExactMatrix.diagonal([ONE, cyc_i(), ONE, -cyc_i()])
-    with pytest.raises(GroupError, match="different quotient groups"):
+    with pytest.raises(GroupStructureError, match="different quotients"):
         g.wrap_parts((m,)) * h.wrap_parts((m,))
+
+
+def reference_coset_rep(g, x):
+    """The least z x over z in Z: the loop GroupSpec.coset_rep had of its own."""
+    best = None
+    for z in g.z_subgroup:
+        cand = z * x
+        if best is None or cand.sort_key() < best.sort_key():
+            best = cand
+    return best
+
+
+def registry_pairs():
+    """(name, pair) for every hom-pair certificate's grid and the crit_3a1 witness."""
+    out = []
+    for cert in certsuite.registry():
+        if cert.kind == "hompair":
+            for params in cert.param_grid:
+                out.append(("%s %r" % (cert.id, params),
+                            certsuite._HOMPAIR_BUILDERS[cert.id](params)[1]))
+    g = so3crit.standard_criterion_group()
+    gbar = so3crit.rotation_group_from_quats(certsuite.criterion_generator_quats())
+    report = so3crit.decide_criterion(g, gbar)
+    out.append(("crit_3a1 witness", so3crit.build_witness_pair(report, g, gbar)))
+    return out
+
+
+def test_coset_rep_is_the_least_central_translate_on_registry_images():
+    pairs = registry_pairs()
+    assert all(pair.target.is_quotient for _, pair in pairs)
+    for name, pair in pairs:
+        g = pair.target
+        gens = pair.src.gen_indices
+        for f in (pair.f, pair.fprime):
+            for x in f.images:
+                rep = g.ambient_of(x)
+                assert rep == reference_coset_rep(g, rep), name
+                for z in g.z_subgroup:
+                    assert g.coset_rep(z * rep) == rep, name
+                # coset products and inverses keep the least translate
+                for k in gens:
+                    prod = x * f.images[k]
+                    assert prod.rep == reference_coset_rep(
+                        g, rep * g.ambient_of(f.images[k])), name
+                assert x.inverse().rep == reference_coset_rep(g, rep.inverse()), name
 
 
 def test_shape_and_group_checks_survive_optimized_mode():
@@ -124,7 +170,7 @@ def test_shape_and_group_checks_survive_optimized_mode():
         "from acceptcert.exactalg import ExactAlgError, ExactMatrix, ONE, cyc_rational\n"
         "from acceptcert.exactalg import unflatten_matrix\n"
         "from acceptcert.fingrp import GroupStructureError, closure, quotient_by_central\n"
-        "from acceptcert.grpcore import GroupError, GroupSpec, QUAT_I, QUAT_J, Quat, su_factor\n"
+        "from acceptcert.grpcore import GroupSpec, QUAT_I, QUAT_J, Quat, su_factor\n"
         "def refused(call, exc):\n"
         "    try:\n"
         "        call()\n"
@@ -136,7 +182,7 @@ def test_shape_and_group_checks_survive_optimized_mode():
         "minus = ExactMatrix.identity(4).scaled(cyc_rational(-1))\n"
         "g, h = (GroupSpec((su_factor(4),), center_gens=((minus,),)) for _ in range(2))\n"
         "one = ExactMatrix.identity(4)\n"
-        "refused(lambda: g.wrap_parts((one,)) * h.wrap_parts((one,)), GroupError)\n"
+        "refused(lambda: g.wrap_parts((one,)) * h.wrap_parts((one,)), GroupStructureError)\n"
         "q8 = closure([QUAT_I, QUAT_J])\n"
         "signs = closure([-Quat.one()])\n"
         "q1, _ = quotient_by_central(q8, signs)\n"

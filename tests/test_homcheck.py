@@ -10,6 +10,8 @@ from acceptcert.exactalg import ExactMatrix, ONE, cyc_i, cyc_rational
 from acceptcert.fingrp import (
     FinGroup,
     FormalGroupSpec,
+    GroupStructureError,
+    Hom,
     closure,
     formal_group,
     hom_from_gens,
@@ -23,7 +25,6 @@ from acceptcert.homcheck import (
     NotGloballyConjugate,
     OracleDomainError,
     _edge_discrepancy,
-    _generator_edges,
     abelian_weight_oracle,
     decide_global,
     is_element_conjugate,
@@ -144,7 +145,7 @@ def test_conjugated_pair_comes_back_conjugate():
     assert isinstance(verdict, GloballyConjugate)
 
 
-# --- the Cayley table from generator edges -----------------------------------------
+# --- the Cayley table from the generator walk --------------------------------------
 
 
 def full_mul_table(src):
@@ -181,21 +182,22 @@ def cayley_sources():
     }
 
 
-def table_from_edges(src, edges, visit):
+def table_from_edges(src, edges, tree):
     """Reference: the full table from the generator edges by associativity.
 
-    Row i starts with i g on the edge columns; for (j, p, g) in visit order
-    i j = i (p g) = (i p) g, where i p is already in row i because p comes
-    before j in the search.
+    Row i starts with i e = i and with i g on the edge columns; for (j, p, g)
+    in tree order i j = i (p g) = (i p) g, where i p is already in row i
+    because p comes before j in the walk.
     """
     table = []
     for i in range(src.order):
         row = [None] * src.order
+        row[src.identity_index] = i
         for gi, j in edges[i].items():
             row[gi] = j
         table.append(row)
     for row in table:
-        for j, p, gi in visit:
+        for j, p, gi in tree:
             row[j] = table[row[p]][gi]
     return table
 
@@ -204,14 +206,15 @@ def table_from_edges(src, edges, visit):
 def test_cayley_table_matches_the_full_product_table(name):
     src = cayley_sources()[name]
     gens = seed_generators(src)
-    edges, visit = _generator_edges(src, gens)
+    # repeated generators and the identity are dropped
+    edges, tree = src.walk(list(src.gen_indices or range(src.order)) * 2)
     # only the generator edges were multiplied
     assert len(src._mul) == src.order * len(gens)
-    assert all(set(row) == {src.identity_index, *gens} for row in edges)
-    assert table_from_edges(src, edges, visit) == full_mul_table(src)
-    # the search reaches every other element once, from an earlier one
-    reached = {src.identity_index, *gens}
-    for j, p, gi in visit:
+    assert all(list(row) == gens for row in edges)
+    assert table_from_edges(src, edges, tree) == full_mul_table(src)
+    # the walk reaches every other element once, from an earlier one
+    reached = {src.identity_index}
+    for j, p, gi in tree:
         assert p in reached and j not in reached
         assert edges[p][gi] == j
         reached.add(j)
@@ -220,8 +223,17 @@ def test_cayley_table_matches_the_full_product_table(name):
 
 def test_cayley_table_refuses_non_generating_generators():
     q8 = closure([QUAT_I, QUAT_J])
+    i_only = q8.idx(QUAT_I)
+    _, tree = q8.walk([i_only])
+    assert len(tree) == 3
+    with pytest.raises(GroupStructureError, match="do not generate"):
+        hom_from_gens(q8, [i_only], [QUAT_I])
+    g = GroupSpec((sp1_factor(),))
+    src = FinGroup(q8.elements, gen_indices=(i_only,))
+    # the walk misses half the source, so the full check verifies this
+    f = Hom(src, g, tuple(g.element((x,)) for x in src.elements))
     with pytest.raises(GroupError, match="do not generate"):
-        _generator_edges(q8, [q8.idx(QUAT_I)])
+        decide_global(HomPair(f, f))
 
 
 # --- the verdict does not depend on the ambient lifts --------------------------------
@@ -399,7 +411,8 @@ def test_edge_check_refuses_exactly_what_the_full_tables_refuse(cert_id, params)
     zs = pair.target.z_subgroup
     z_index = {z: k for k, z in enumerate(zs)}
     z_mul = [[z_index[x * y] for y in zs] for x in zs]
-    edges, _ = _generator_edges(src, seed_generators(src))
+    walk_edges, _ = src.walk(seed_generators(src))
+    edges = [{src.identity_index: i, **row} for i, row in enumerate(walk_edges)]
     rng = random.Random("%s %r" % (cert_id, sorted(params.items())))
     for name, a_list, b_list, accepted in lift_overrides(pair, rng):
         c_ref = full_cocycle_table(src, a_list)
