@@ -14,6 +14,12 @@ Every certificate declares its parameters and their JSON types; a run whose
 parameters miss a key, add an unknown one or give a value of the wrong type
 raises CertParamError before any computation starts.
 
+The registry is built once, at import.  Each certificate carries the runner
+that computes it, so ``run`` (one certificate) and ``run_all`` (a list of
+certificates over their grids, the only grid loop) are the one path from
+input to verdict for the library and the CLI alike.  ``scan`` is the one
+input check in front of the angle scans, for ``verify`` and ``scan-scf``.
+
 Builders are deterministic in their parameters, including the randomized
 sanity batches (fixed seeds).  ``run_all`` produces results in a fixed
 order, so two invocations serialize identically except for wall times.
@@ -29,6 +35,7 @@ from .exactalg import (
     ExactMatrix,
     ONE,
     ZERO,
+    check_conductor,
     cyc_half,
     cyc_i,
     cyc_rational,
@@ -52,6 +59,7 @@ from .scfcheck import (
     scan_grid,
 )
 from .so3crit import (
+    CRITERION_FIELDS,
     InfiniteCentralizer,
     build_witness_pair,
     decide_criterion,
@@ -81,13 +89,17 @@ class Certificate:
 
     ``params`` maps every required parameter to its type, ``optional`` every
     parameter a run may leave out.  ``expected`` is a dict of expected
-    verdicts, or a function from the run's parameters to one.
+    verdicts, or a function from the run's parameters to one.  ``runner``
+    computes a run: ``runner(cert, params, cap) -> (verdicts, counts)``.
+    Hom-pair certificates also carry ``build(params) -> (group, pair)``.
+    ``kind`` is reported data only; nothing dispatches on it.
     """
 
-    __slots__ = ("id", "kind", "claim", "param_grid", "params", "optional", "expected")
+    __slots__ = ("id", "kind", "claim", "param_grid", "params", "optional", "expected",
+                 "runner", "build")
 
-    def __init__(self, id: str, kind: str, claim: str, param_grid, expected,
-                 params=None, optional=None):
+    def __init__(self, id: str, kind: str, claim: str, param_grid, expected, runner,
+                 params=None, optional=None, build=None):
         self.id = id
         self.kind = kind
         self.claim = claim
@@ -95,6 +107,8 @@ class Certificate:
         self.params = dict(params or {})
         self.optional = dict(optional or {})
         self.expected = expected
+        self.runner = runner
+        self.build = build
 
     def check_params(self, params) -> None:
         """Raise CertParamError unless ``params`` matches the declared schema."""
@@ -232,6 +246,7 @@ def _is_odd_prime(p: int) -> bool:
 
 def _build_psu_odd_prime(params):
     p = params["p"]
+    check_conductor(p)  # first: trial division of a huge p would not finish
     if not _is_odd_prime(p):
         raise CertParamError("psu_odd_prime needs an odd prime p")
     w = cyc_zeta(p)
@@ -317,7 +332,7 @@ def _unit_quat_pool() -> tuple:
     return tuple(out)
 
 
-def _run_sanity(params):
+def _run_sanity(cert: Certificate, params, cap):
     group_name = params["group"]
     count = params["count"]
     seed = params["seed"]
@@ -348,167 +363,26 @@ def _run_sanity(params):
         fp = hom_from_gens(
             src, src.gen_indices,
             tuple((conj * im) * inv for im in ims), target=g)
-        verdict = decide_global(HomPair(f, fp))
+        verdict = decide_global(HomPair(f, fp), cap=cap)
         if not isinstance(verdict, GloballyConjugate):
             all_ok = False
             break
     return {"all_globally_conjugate": all_ok, "trials": count}, {"trials": count}
 
 
-# --- registry ------------------------------------------------------------------------
+# --- runners ---------------------------------------------------------------------------
 
 
-_EC_NOT_GC = {"element_conjugate": True, "globally_conjugate": False}
-_EC_NOT_GC_ORACLE = {"element_conjugate": True, "globally_conjugate": False,
-                     "oracle_agrees": True}
-
-SCAN_DENOMINATORS = (4, 6, 8)
-_SCAN_KINDS = {"scf_o_odd": KIND_O_ODD, "scf_so_odd": KIND_SO_ODD}
-
-
-def _scan_expected(cert_id: str):
-    """Expected scan verdicts: the closed form's failing angles, nothing undecided."""
-    kind = _SCAN_KINDS[cert_id]
-
-    def expected(params):
-        grid = scan_grid(params.get("denominators", SCAN_DENOMINATORS))
-        failing = [[k, m] for k, m in grid if closed_form_outcome(kind, k, m) == "fails"]
-        return {"failing": failing, "undecided": 0}
-
-    return expected
-
-
-_SP1_PARAMS = {"m": _INT, "eps": _INT}
-_SCAN_PARAMS = {"n": _INT}
-_SCAN_OPTIONAL = {"denominators": _INT_LIST}
-
-
-def registry() -> list:
-    """All certificates in fixed order with their default parameter grids."""
-    return [
-        Certificate(
-            id="su4_mod_center",
-            kind="hompair",
-            claim=("Commuting diagonal fourth-root images and their entrywise "
-                   "conjugates into SU(4) mod its sign scalar: conjugate element "
-                   "by element, never by one global conjugator."),
-            param_grid=({},),
-            expected=_EC_NOT_GC_ORACLE,
-        ),
-        Certificate(
-            id="sp1_diag",
-            kind="hompair",
-            claim=("Diagonal quaternion-unit pairs into the m-fold Sp(1) product "
-                   "mod the all-minus-one center: element-conjugate but not "
-                   "globally conjugate for every m >= 3 and either sign."),
-            param_grid=tuple({"m": m, "eps": e} for m in range(3, 9) for e in (1, -1)),
-            expected=_EC_NOT_GC_ORACLE,
-            params=_SP1_PARAMS,
-        ),
-        Certificate(
-            id="psp3_via_sp1",
-            kind="hompair",
-            claim=("The three-factor quotient by the diagonal sign, reached as "
-                   "the m = 3 diagonal pair: same split verdict."),
-            param_grid=({"m": 3, "eps": 1}, {"m": 3, "eps": -1}),
-            expected=_EC_NOT_GC_ORACLE,
-            params=_SP1_PARAMS,
-        ),
-        Certificate(
-            id="psu_odd_prime",
-            kind="hompair",
-            claim=("Cyclic shift against two root-of-unity diagonals into SU(p) "
-                   "mod its full scalar center, p an odd prime: element-conjugate "
-                   "but not globally conjugate."),
-            param_grid=({"p": 3}, {"p": 5}),
-            expected=_EC_NOT_GC,
-            params={"p": _INT},
-        ),
-        Certificate(
-            id="su4_power_d4",
-            kind="hompair",
-            claim=("The SU(4) witness copied diagonally into a k-fold product mod "
-                   "the diagonal sign center keeps the same split verdict."),
-            param_grid=({"k": 1}, {"k": 2}),
-            expected=_EC_NOT_GC,
-            params={"k": _INT},
-        ),
-        Certificate(
-            id="crit_3a1",
-            kind="criterion",
-            claim=("On Sp(1)^3 mod the sign pairs, the pinned rotation group has "
-                   "eight centralizer classes against sixteen characters; a missed "
-                   "character builds a pair that is element-conjugate and not "
-                   "globally conjugate."),
-            param_grid=({},),
-            expected={
-                "applicable": True,
-                "z_centralizer_order": 8,
-                "liftable_order": 1,
-                "x_order": 8,
-                "quotient_order": 16,
-                "y_order": 16,
-                "phi_injective": True,
-                "phi_surjective": False,
-                "witness_element_conjugate": True,
-                "witness_globally_conjugate": False,
-            },
-        ),
-        Certificate(
-            id="scf_o_odd",
-            kind="scan",
-            claim=("The reflection-fixed odd orthogonal subgroup of SO(2n+2) "
-                   "fails the centralizer-translate membership exactly at the "
-                   "quarter and three-quarter turns."),
-            param_grid=({"n": 1}, {"n": 2}),
-            expected=_scan_expected("scf_o_odd"),
-            params=_SCAN_PARAMS,
-            optional=_SCAN_OPTIONAL,
-        ),
-        Certificate(
-            id="scf_so_odd",
-            kind="scan",
-            claim=("The last-vector stabilizer SO(2n+1) passes the "
-                   "centralizer-translate membership at every scanned angle."),
-            param_grid=({"n": 1}, {"n": 2}),
-            expected=_scan_expected("scf_so_odd"),
-            params=_SCAN_PARAMS,
-            optional=_SCAN_OPTIONAL,
-        ),
-        Certificate(
-            id="sanity_acceptable",
-            kind="sanity",
-            claim=("A pair made of a homomorphism and its conjugate by a fixed "
-                   "element must always come back globally conjugate."),
-            param_grid=({"group": "su4", "count": 25, "seed": 20260819},
-                        {"group": "sp1_cubed", "count": 25, "seed": 20260820}),
-            expected={"all_globally_conjugate": True},
-            params={"group": _STR, "count": _INT, "seed": _INT},
-        ),
-    ]
-
-
-_HOMPAIR_BUILDERS = {
-    "su4_mod_center": _build_su4_mod_center,
-    "sp1_diag": _build_sp1_diag,
-    "psp3_via_sp1": _build_sp1_diag,
-    "psu_odd_prime": _build_psu_odd_prime,
-    "su4_power_d4": _build_su4_power_d4,
-}
-
-
-def _find_certificate(cert_id: str) -> Certificate:
-    for cert in registry():
-        if cert.id == cert_id:
-            return cert
-    raise CertParamError("unknown certificate id %r" % (cert_id,))
+def _decide_pair(pair: HomPair, cap):
+    """Both deciders on one pair: (element_conjugate, globally_conjugate, verdict)."""
+    ec, _ = is_element_conjugate(pair)
+    verdict = decide_global(pair, cap=cap)
+    return ec, isinstance(verdict, GloballyConjugate), verdict
 
 
 def _run_hompair(cert: Certificate, params, cap):
-    g, pair = _HOMPAIR_BUILDERS[cert.id](params)
-    ec, _ = is_element_conjugate(pair)
-    verdict = decide_global(pair, cap=cap)
-    gc = isinstance(verdict, GloballyConjugate)
+    g, pair = cert.build(params)
+    ec, gc, verdict = _decide_pair(pair, cap)
     verdicts = {"element_conjugate": ec, "globally_conjugate": gc}
     counts = {
         "source_order": pair.src.order,
@@ -538,11 +412,10 @@ def run_criterion(gens=None, cap: int | None = None):
     if isinstance(report, InfiniteCentralizer) or report.phi_surjective:
         return gbar, report, None
     pair = build_witness_pair(report, g, gbar, cap=cap)
-    ec, _ = is_element_conjugate(pair)
-    verdict = decide_global(pair, cap=cap)
+    ec, gc, verdict = _decide_pair(pair, cap)
     witness = {
         "element_conjugate": ec,
-        "globally_conjugate": isinstance(verdict, GloballyConjugate),
+        "globally_conjugate": gc,
         "source_order": pair.src.order,
         "twists_examined": verdict.seeds_examined,
     }
@@ -553,16 +426,8 @@ def _run_criterion(cert: Certificate, params, cap):
     gbar, report, witness = run_criterion(cap=cap)
     if isinstance(report, InfiniteCentralizer):
         return {"applicable": False, "reason": report.reason}, {}
-    verdicts = {
-        "applicable": True,
-        "z_centralizer_order": report.z_centralizer_order,
-        "liftable_order": report.liftable_order,
-        "x_order": report.x_order,
-        "quotient_order": report.quotient_order,
-        "y_order": report.y_order,
-        "phi_injective": report.phi_injective,
-        "phi_surjective": report.phi_surjective,
-    }
+    verdicts = {"applicable": True}
+    verdicts.update((name, getattr(report, name)) for name in CRITERION_FIELDS)
     counts = {"rotation_group_order": gbar.order}
     if witness is not None:
         verdicts["witness_element_conjugate"] = witness["element_conjugate"]
@@ -572,15 +437,31 @@ def _run_criterion(cert: Certificate, params, cap):
     return verdicts, counts
 
 
-def _run_scan(cert: Certificate, params, cap):
-    n = params["n"]
+SCAN_DENOMINATORS = (4, 6, 8)
+
+
+def scan(kind: str, n: int, denominators, cap: int | None = None) -> list:
+    """``scan_angles`` behind the input checks that every scan goes through.
+
+    Raises CertParamError unless n >= 1 and the denominators are a non-empty
+    list of positive integers; ``scan_angles`` then refuses a scan over the
+    closure cap or a denominator over the conductor cap before any angle is
+    decided.
+    """
     if n < 1:
         raise CertParamError("scan needs an integer n >= 1")
-    denominators = params.get("denominators", SCAN_DENOMINATORS)
     if not denominators or any(m < 1 for m in denominators):
         raise CertParamError("scan denominators must be a non-empty list of "
                              "positive integers")
-    rows = scan_angles(_SCAN_KINDS[cert.id], n, denominators, cap=cap)
+    return scan_angles(kind, n, denominators, cap=cap)
+
+
+_SCAN_KINDS = {"scf_o_odd": KIND_O_ODD, "scf_so_odd": KIND_SO_ODD}
+
+
+def _run_scan(cert: Certificate, params, cap):
+    rows = scan(_SCAN_KINDS[cert.id], params["n"],
+                params.get("denominators", SCAN_DENOMINATORS), cap=cap)
     failing = [[v.angle.k, v.angle.m] for v in rows if v.outcome == "fails"]
     undecided = sum(1 for v in rows if v.outcome == "undecided")
     verdicts = {"failing": failing, "undecided": undecided}
@@ -592,42 +473,182 @@ def _run_scan(cert: Certificate, params, cap):
     return verdicts, counts
 
 
+def _scan_expected(cert_id: str):
+    """Expected scan verdicts: the closed form's failing angles, nothing undecided."""
+    kind = _SCAN_KINDS[cert_id]
+
+    def expected(params):
+        grid = scan_grid(params.get("denominators", SCAN_DENOMINATORS))
+        failing = [[k, m] for k, m in grid if closed_form_outcome(kind, k, m) == "fails"]
+        return {"failing": failing, "undecided": 0}
+
+    return expected
+
+
+# --- registry ------------------------------------------------------------------------
+
+
+_EC_NOT_GC = {"element_conjugate": True, "globally_conjugate": False}
+_EC_NOT_GC_ORACLE = {"element_conjugate": True, "globally_conjugate": False,
+                     "oracle_agrees": True}
+
+_SP1_PARAMS = {"m": _INT, "eps": _INT}
+_SCAN_PARAMS = {"n": _INT}
+_SCAN_OPTIONAL = {"denominators": _INT_LIST}
+
+_REGISTRY = (
+    Certificate(
+        id="su4_mod_center",
+        kind="hompair", runner=_run_hompair, build=_build_su4_mod_center,
+        claim=("Commuting diagonal fourth-root images and their entrywise "
+               "conjugates into SU(4) mod its sign scalar: conjugate element "
+               "by element, never by one global conjugator."),
+        param_grid=({},),
+        expected=_EC_NOT_GC_ORACLE,
+    ),
+    Certificate(
+        id="sp1_diag",
+        kind="hompair", runner=_run_hompair, build=_build_sp1_diag,
+        claim=("Diagonal quaternion-unit pairs into the m-fold Sp(1) product "
+               "mod the all-minus-one center: element-conjugate but not "
+               "globally conjugate for every m >= 3 and either sign."),
+        param_grid=tuple({"m": m, "eps": e} for m in range(3, 9) for e in (1, -1)),
+        expected=_EC_NOT_GC_ORACLE,
+        params=_SP1_PARAMS,
+    ),
+    Certificate(
+        id="psp3_via_sp1",
+        kind="hompair", runner=_run_hompair, build=_build_sp1_diag,
+        claim=("The three-factor quotient by the diagonal sign, reached as "
+               "the m = 3 diagonal pair: same split verdict."),
+        param_grid=({"m": 3, "eps": 1}, {"m": 3, "eps": -1}),
+        expected=_EC_NOT_GC_ORACLE,
+        params=_SP1_PARAMS,
+    ),
+    Certificate(
+        id="psu_odd_prime",
+        kind="hompair", runner=_run_hompair, build=_build_psu_odd_prime,
+        claim=("Cyclic shift against two root-of-unity diagonals into SU(p) "
+               "mod its full scalar center, p an odd prime: element-conjugate "
+               "but not globally conjugate."),
+        param_grid=({"p": 3}, {"p": 5}),
+        expected=_EC_NOT_GC,
+        params={"p": _INT},
+    ),
+    Certificate(
+        id="su4_power_d4",
+        kind="hompair", runner=_run_hompair, build=_build_su4_power_d4,
+        claim=("The SU(4) witness copied diagonally into a k-fold product mod "
+               "the diagonal sign center keeps the same split verdict."),
+        param_grid=({"k": 1}, {"k": 2}),
+        expected=_EC_NOT_GC,
+        params={"k": _INT},
+    ),
+    Certificate(
+        id="crit_3a1",
+        kind="criterion", runner=_run_criterion,
+        claim=("On Sp(1)^3 mod the sign pairs, the pinned rotation group has "
+               "eight centralizer classes against sixteen characters; a missed "
+               "character builds a pair that is element-conjugate and not "
+               "globally conjugate."),
+        param_grid=({},),
+        expected={
+            "applicable": True,
+            "z_centralizer_order": 8,
+            "liftable_order": 1,
+            "x_order": 8,
+            "quotient_order": 16,
+            "y_order": 16,
+            "phi_injective": True,
+            "phi_surjective": False,
+            "witness_element_conjugate": True,
+            "witness_globally_conjugate": False,
+        },
+    ),
+    Certificate(
+        id="scf_o_odd",
+        kind="scan", runner=_run_scan,
+        claim=("The reflection-fixed odd orthogonal subgroup of SO(2n+2) "
+               "fails the centralizer-translate membership exactly at the "
+               "quarter and three-quarter turns."),
+        param_grid=({"n": 1}, {"n": 2}),
+        expected=_scan_expected("scf_o_odd"),
+        params=_SCAN_PARAMS,
+        optional=_SCAN_OPTIONAL,
+    ),
+    Certificate(
+        id="scf_so_odd",
+        kind="scan", runner=_run_scan,
+        claim=("The last-vector stabilizer SO(2n+1) passes the "
+               "centralizer-translate membership at every scanned angle."),
+        param_grid=({"n": 1}, {"n": 2}),
+        expected=_scan_expected("scf_so_odd"),
+        params=_SCAN_PARAMS,
+        optional=_SCAN_OPTIONAL,
+    ),
+    Certificate(
+        id="sanity_acceptable",
+        kind="sanity", runner=_run_sanity,
+        claim=("A pair made of a homomorphism and its conjugate by a fixed "
+               "element must always come back globally conjugate."),
+        param_grid=({"group": "su4", "count": 25, "seed": 20260819},
+                    {"group": "sp1_cubed", "count": 25, "seed": 20260820}),
+        expected={"all_globally_conjugate": True},
+        params={"group": _STR, "count": _INT, "seed": _INT},
+    ),
+)
+
+_BY_ID = {cert.id: cert for cert in _REGISTRY}
+
+
+def registry() -> list:
+    """All certificates in fixed order with their default parameter grids."""
+    return list(_REGISTRY)
+
+
+def certificate(cert_id: str) -> Certificate:
+    """The registry certificate with this id; CertParamError if there is none."""
+    cert = _BY_ID.get(cert_id)
+    if cert is None:
+        raise CertParamError("unknown certificate id %r" % (cert_id,))
+    return cert
+
+
 def run(cert_id: str, params=None, cap: int | None = None) -> RunResult:
     """Run one certificate at the given (or first default) parameters."""
-    cert = _find_certificate(cert_id)
+    cert = certificate(cert_id)
     if params is None:
         params = dict(cert.param_grid[0]) if cert.param_grid else {}
     cert.check_params(params)
     start = time.perf_counter()
-    if cert.kind == "hompair":
-        verdicts, counts = _run_hompair(cert, params, cap)
-    elif cert.kind == "criterion":
-        verdicts, counts = _run_criterion(cert, params, cap)
-    elif cert.kind == "scan":
-        verdicts, counts = _run_scan(cert, params, cap)
-    elif cert.kind == "sanity":
-        verdicts, counts = _run_sanity(params)
-    else:
-        raise CertParamError("certificate %r has unknown kind %r" % (cert.id, cert.kind))
+    verdicts, counts = cert.runner(cert, params, cap)
     seconds = time.perf_counter() - start
     return RunResult(cert.id, params, cert.claim, cert.expected_for(params), verdicts,
                      counts, seconds)
 
 
 def run_all(filter_pattern: str = "", cap: int | None = None,
-            grid_overrides=None) -> list:
-    """Every registry certificate over its parameter grid, in fixed order.
+            grid_overrides=None, cert_ids=None) -> list:
+    """Certificates over their parameter grids, in fixed order.
 
+    ``cert_ids`` lists the certificates to run, in that order (default: the
+    whole registry); ``filter_pattern`` is a glob that further selects ids.
     ``grid_overrides`` maps certificate id to a replacement list of parameter
-    dicts (the CLI loads it from a JSON file).
+    dicts (the CLI loads it from a JSON file).  Every id and every override
+    parameter set is checked before anything runs.  Each run goes through
+    the module's ``run``.
     """
-    out = []
+    certs = _REGISTRY if cert_ids is None else [certificate(i) for i in cert_ids]
     overrides = grid_overrides or {}
-    for cert in registry():
+    for cert_id, grid in overrides.items():
+        cert = certificate(cert_id)
+        for params in grid:
+            cert.check_params(params)
+    out = []
+    for cert in certs:
         if filter_pattern and not fnmatchcase(cert.id, filter_pattern):
             continue
-        grid = overrides.get(cert.id, cert.param_grid)
-        for params in grid:
+        for params in overrides.get(cert.id, cert.param_grid):
             out.append(run(cert.id, dict(params), cap=cap))
     return out
 

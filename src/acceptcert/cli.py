@@ -6,9 +6,16 @@ certificates and compares every verdict against its pinned expectation,
 closed-form classification, and ``crit3a1`` runs the rotation criterion on
 pinned or user-supplied generators and cross-verifies the witness pair.
 
+The subcommands only parse and report: ``verify`` hands its ids, filter and
+parameter file to ``certsuite.run_all``, and ``scan-scf`` its family, n and
+denominators to ``certsuite.scan``, which check every input before anything
+runs.
+
 Exit codes: 0 on success, 1 when a computation finished but a verdict
-disagreed with the expected outcome, 2 on unknown ids or malformed input,
-3 when the criterion is not applicable because a centralizer is infinite.
+disagreed with the expected outcome, 2 on unknown ids or malformed input
+(including files that do not parse, and integers past Python's digit limit
+for int conversion), 3 when the criterion is not applicable because a
+centralizer is infinite.
 
 JSON reports carry ``"schema": 1`` and are deterministic except for the
 timing fields.  Mathematical quantities appear as integers or exact
@@ -22,14 +29,13 @@ import json
 import re
 import sys
 import time
-from fnmatch import fnmatchcase
 from fractions import Fraction
 
-from .certsuite import CertParamError, registry, run, run_all, run_criterion
+from .certsuite import CertParamError, registry, run_all, run_criterion, scan
 from .exactalg import ExactAlgError, cyc_rational, sqrt_rational
 from .fingrp import ClosureCapError, GroupStructureError, NotAHomomorphismError
 from .grpcore import GroupError, Quat
-from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome, scan_angles
+from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome
 from .so3crit import InfiniteCentralizer
 
 _FAMILY_BY_NAME = {"o-odd": KIND_O_ODD, "so-odd": KIND_SO_ODD}
@@ -47,19 +53,28 @@ def _parse_coordinate(text):
         raise CertParamError(
             "coordinate %r is not of the form 'a' or 'a*sqrt(b)'" % (text,))
     try:
-        rational = Fraction(match.group("rat").replace(" ", ""))
+        value = cyc_rational(Fraction(match.group("rat").replace(" ", "")))
+        radicand = match.group("rad")
+        if radicand is not None:
+            value = value * sqrt_rational(int(radicand))
     except ZeroDivisionError:
         raise CertParamError("coordinate %r has a zero denominator" % (text,))
-    value = cyc_rational(rational)
-    radicand = match.group("rad")
-    if radicand is not None:
-        value = value * sqrt_rational(int(radicand))
+    except ValueError as exc:
+        raise CertParamError("coordinate has too many digits (%s)" % (exc,))
     return value
 
 
-def _load_generator_quats(path):
+def _load_json(path):
+    """The JSON in a file; CertParamError for bad text or a too-long integer."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise CertParamError("invalid JSON input (%s)" % (exc,))
+
+
+def _load_generator_quats(path):
+    data = _load_json(path)
     if not isinstance(data, dict) or "generators" not in data:
         raise CertParamError("generator file must be an object with a "
                              "'generators' key")
@@ -82,24 +97,16 @@ def _load_generator_quats(path):
 
 
 def _load_grid_overrides(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The parameter file's grids; ``run_all`` checks their ids and parameters."""
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise CertParamError("parameter file must map certificate ids to "
                              "lists of parameter objects")
-    known = {cert.id: cert for cert in registry()}
-    out = {}
     for cert_id, grid in data.items():
-        if cert_id not in known:
-            raise CertParamError("parameter file names unknown certificate %r"
-                                 % (cert_id,))
-        if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
+        if not isinstance(grid, list):
             raise CertParamError("parameters for %r must be a list of objects"
                                  % (cert_id,))
-        for params in grid:
-            known[cert_id].check_params(params)
-        out[cert_id] = [dict(p) for p in grid]
-    return out
+    return data
 
 
 def _emit(args, payload, lines) -> None:
@@ -152,25 +159,11 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     overrides = _load_grid_overrides(args.params) if args.params else {}
     start = time.perf_counter()
-    if args.cert_ids:
-        known = {cert.id: cert for cert in registry()}
-        for cert_id in args.cert_ids:
-            if cert_id not in known:
-                raise CertParamError("unknown certificate id %r" % (cert_id,))
-        results = []
-        for cert_id in args.cert_ids:
-            if args.filter and not fnmatchcase(cert_id, args.filter):
-                continue
-            grid = overrides.get(cert_id, known[cert_id].param_grid)
-            for params in grid:
-                results.append(run(cert_id, dict(params), cap=args.max_closure))
-    else:
-        results = run_all(args.filter or "", cap=args.max_closure,
-                          grid_overrides=overrides)
+    results = run_all(args.filter, cap=args.max_closure, grid_overrides=overrides,
+                      cert_ids=args.cert_ids or None)
     seconds = time.perf_counter() - start
     if not results:
-        print("error: no certificates matched", file=sys.stderr)
-        return 2
+        raise CertParamError("no certificates matched")
     n_pass = sum(1 for r in results if r.passed)
     payload = {
         "schema": 1,
@@ -195,17 +188,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan_scf(args) -> int:
-    if args.n < 1:
-        raise CertParamError("n must be a positive integer")
     try:
         denominators = [int(part) for part in args.denominators.split(",")]
     except ValueError:
         raise CertParamError("--denominators must be comma-separated integers")
-    if not denominators or any(m < 1 for m in denominators):
-        raise CertParamError("denominators must be positive integers")
     kind = _FAMILY_BY_NAME[args.family]
     start = time.perf_counter()
-    rows = scan_angles(kind, args.n, denominators, cap=args.max_closure)
+    rows = scan(kind, args.n, denominators, cap=args.max_closure)
     seconds = time.perf_counter() - start
     mismatches = []
     for verdict in rows:
@@ -358,9 +347,6 @@ def main(argv=None) -> int:
     except (CertParamError, ClosureCapError, ExactAlgError, GroupError,
             GroupStructureError, NotAHomomorphismError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print("error: invalid JSON input (%s)" % (exc,), file=sys.stderr)
         return 2
     except OSError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

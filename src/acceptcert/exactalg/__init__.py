@@ -13,6 +13,7 @@ from .cyclotomic import (
     NotRationalError,
     ONE,
     ZERO,
+    check_conductor,
     cyc_half,
     cyc_i,
     cyc_make,
@@ -48,6 +49,7 @@ __all__ = [
     "ZERO",
     "Subspace",
     "char_poly",
+    "check_conductor",
     "commutant",
     "cyc_half",
     "cyc_i",

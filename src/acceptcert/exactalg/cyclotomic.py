@@ -244,7 +244,8 @@ def _conductor(n: int) -> _Conductor:
     return cond
 
 
-def _check_cap(n: int) -> None:
+def check_conductor(n: int) -> None:
+    """Raise ConductorCapError when conductor ``n`` exceeds ``CONDUCTOR_CAP``."""
     if n > CONDUCTOR_CAP:
         raise ConductorCapError(
             "conductor %d exceeds the cap %d" % (n, CONDUCTOR_CAP)
@@ -421,7 +422,7 @@ class CycNum:
             return a.n
         n = a.n * b.n // gcd(a.n, b.n)
         n = _canon_conductor(n)
-        _check_cap(n)
+        check_conductor(n)
         return n
 
     def __add__(self, other):
@@ -646,7 +647,7 @@ def cyc_make(n: int, coeffs) -> CycNum:
     """Element of Q(zeta_n) from a rational coefficient vector of length phi(n)."""
     if n < 1:
         raise ExactAlgError("conductor must be positive")
-    _check_cap(n)
+    check_conductor(n)
     coeffs = [Fraction(c) for c in coeffs]
     if len(coeffs) != euler_phi(n):
         raise ExactAlgError(
@@ -682,7 +683,7 @@ def cyc_zeta(n: int) -> CycNum:
         if n == 1:
             z = ONE
         else:
-            _check_cap(n)
+            check_conductor(n)
             deg = euler_phi(n)
             coeffs = [0] * deg
             if deg == 1:

@@ -445,12 +445,18 @@ class CosetContext:
     under the sort key, the representative every CosetElement of the
     quotient holds, so two cosets are equal iff their representatives are.
     N is normal, so N x = x N and this is the least element of x N too.
+
+    ``identity_rep`` is the representative of the identity coset N, its
+    least element.  A representative r lies in N iff r == identity_rep: if
+    r is in N then N r = N and its least element is identity_rep; if
+    r = identity_rep it is in N.
     """
 
-    __slots__ = ("normal",)
+    __slots__ = ("normal", "identity_rep")
 
     def __init__(self, normal: tuple):
         self.normal = normal
+        self.identity_rep = min(normal, key=lambda s: s.sort_key())
 
     def canonical(self, x):
         best = None
@@ -483,7 +489,7 @@ class CosetElement:
         return CosetElement(self.ctx, self.ctx.canonical(self.rep.inverse()))
 
     def is_identity(self) -> bool:
-        return self.rep in self.ctx.normal
+        return self.rep == self.ctx.identity_rep
 
     def sort_key(self):
         return self.rep.sort_key()

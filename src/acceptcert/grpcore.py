@@ -330,10 +330,7 @@ class AmbientElement:
 
     def is_identity(self) -> bool:
         for part in self.parts:
-            if isinstance(part, Quat):
-                if not part.is_identity():
-                    return False
-            elif not part.is_identity():
+            if not part.is_identity():
                 return False
         return True
 

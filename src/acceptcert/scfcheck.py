@@ -13,9 +13,15 @@ are nullspace computations over the flattened matrix space, and the finite
 component scan enumerates diagonal sign matrices.  The decision cascade
 tries the two trivial routes first (g centralizes K, or g already lies in
 H); only then does it enumerate centralizer translates, which requires the
-centralizer to be a finite sign-pattern group.  When the commutant is not of
-sign-pattern type the verdict is Undecided: an honest answer that the
+centralizer to be a finite sign-pattern group.  Every answer is one
+Eq2Verdict whose outcome is "holds", "fails" or "undecided"; the last, when
+the commutant is not of sign-pattern type, is an honest answer that the
 acceptance checks assert never occurs for these families.
+
+``scan_angles`` refuses a scan over the closure cap, and ``scan_grid`` a
+denominator over the conductor cap, before any angle is built;
+``certsuite.scan`` adds the checks on n and the denominators that both
+``verify`` and ``scan-scf`` go through.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .exactalg import (
     ONE,
     Subspace,
     ZERO,
+    check_conductor,
     commutant,
     cyc_half,
     cyc_i,
@@ -284,18 +291,28 @@ def centralizer_of_descriptor(d: SubgroupDescriptor):
 
 
 class Eq2Verdict:
-    """Base for the three verdict shapes; carries the inputs for reporting."""
+    """One angle's answer, with the inputs for reporting.
 
-    __slots__ = ("family", "angle")
+    ``outcome`` is "holds", "fails" or "undecided".  A holding angle names
+    its ``route``; a failing one took the route "translate-scan"; both carry
+    ``translates_checked`` when translates were enumerated.  An undecided
+    angle carries the ``reason`` its centralizer is not of sign-pattern type.
+    """
 
-    outcome = "undecided"
+    __slots__ = ("family", "angle", "outcome", "route", "translates_checked", "reason")
 
-    def __init__(self, family: SymPairFamily, angle: Angle):
+    def __init__(self, family: SymPairFamily, angle: Angle, outcome: str,
+                 route: str | None = None, translates_checked: int | None = None,
+                 reason: str | None = None):
         self.family = family
         self.angle = angle
+        self.outcome = outcome
+        self.route = route
+        self.translates_checked = translates_checked
+        self.reason = reason
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "family": self.family.kind,
             "n": self.family.n,
             "condition": self.family.condition_label,
@@ -303,64 +320,15 @@ class Eq2Verdict:
             "m": self.angle.m,
             "outcome": self.outcome,
         }
-
-
-class Eq2Holds(Eq2Verdict):
-    __slots__ = ("route", "translates_checked")
-
-    outcome = "holds"
-
-    def __init__(self, family, angle, route: str, translates_checked: int | None = None):
-        super().__init__(family, angle)
-        self.route = route
-        self.translates_checked = translates_checked
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["route"] = self.route
-        if self.translates_checked is not None:
-            out["translates_checked"] = self.translates_checked
+        for key in ("route", "translates_checked", "reason"):
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = value
         return out
 
     def __repr__(self):
-        return "Eq2Holds(%r)" % (self.route,)
-
-
-class Eq2Fails(Eq2Verdict):
-    __slots__ = ("translates_checked",)
-
-    outcome = "fails"
-
-    def __init__(self, family, angle, translates_checked: int):
-        super().__init__(family, angle)
-        self.translates_checked = translates_checked
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["route"] = "translate-scan"
-        out["translates_checked"] = self.translates_checked
-        return out
-
-    def __repr__(self):
-        return "Eq2Fails(translates_checked=%d)" % self.translates_checked
-
-
-class Eq2Undecided(Eq2Verdict):
-    __slots__ = ("reason",)
-
-    outcome = "undecided"
-
-    def __init__(self, family, angle, reason: str):
-        super().__init__(family, angle)
-        self.reason = reason
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["reason"] = self.reason
-        return out
-
-    def __repr__(self):
-        return "Eq2Undecided(%r)" % (self.reason,)
+        return "Eq2Verdict(%s, route=%r, translates_checked=%r, reason=%r)" % (
+            self.outcome, self.route, self.translates_checked, self.reason)
 
 
 def decide_eq2(fam: SymPairFamily, ang: Angle) -> Eq2Verdict:
@@ -377,23 +345,32 @@ def decide_eq2(fam: SymPairFamily, ang: Angle) -> Eq2Verdict:
     g = build_g_theta(fam, ang)
 
     if all(g.commutes_with(x) for x in desc.generators()):
-        return Eq2Holds(fam, ang, "g centralizes the intersection")
+        return Eq2Verdict(fam, ang, "holds", route="g centralizes the intersection")
     if fam.contains(g):
-        return Eq2Holds(fam, ang, "g lies in the subgroup")
+        return Eq2Verdict(fam, ang, "holds", route="g lies in the subgroup")
 
     cz = centralizer_of_descriptor(desc)
     if isinstance(cz, NotSignPattern):
-        return Eq2Undecided(fam, ang, cz.reason)
+        return Eq2Verdict(fam, ang, "undecided", reason=cz.reason)
     for count, z in enumerate(cz, start=1):
         if fam.contains(z.transpose() * g):
-            return Eq2Holds(fam, ang, "a centralizer translate lies in the subgroup",
-                            translates_checked=count)
-    return Eq2Fails(fam, ang, translates_checked=len(cz))
+            return Eq2Verdict(fam, ang, "holds",
+                              route="a centralizer translate lies in the subgroup",
+                              translates_checked=count)
+    return Eq2Verdict(fam, ang, "fails", route="translate-scan",
+                      translates_checked=len(cz))
 
 
 def scan_grid(denominators) -> list:
-    """The angles 2*pi*k/m a scan visits, as (k, m) pairs ordered by (m, k)."""
-    return [(k, m) for m in sorted(set(int(m) for m in denominators)) for k in range(m)]
+    """The angles 2*pi*k/m a scan visits, as (k, m) pairs ordered by (m, k).
+
+    Angle.make(k, m) needs the conductor lcm(m, 4), so a denominator whose
+    conductor exceeds ``CONDUCTOR_CAP`` is refused before any pair is built.
+    """
+    ms = sorted(set(int(m) for m in denominators))
+    for m in ms:
+        check_conductor(lcm(m, 4))
+    return [(k, m) for m in ms for k in range(m)]
 
 
 def closed_form_outcome(kind: str, k: int, m: int) -> str:
@@ -414,13 +391,16 @@ def scan_angles(kind: str, n: int, denominators, cap: int | None = None) -> list
     Each angle enumerates the 2^(2n+2) diagonal sign matrices of SO(2n+2),
     and at most that many centralizer translates.  When that count exceeds
     ``cap`` (default: ``default_closure_cap()``), ClosureCapError is raised
-    before any angle is scanned.
+    before any angle is scanned.  The count is compared by bit length, as
+    2^d > cap iff d >= cap.bit_length() for cap >= 1, so a huge n is refused
+    without forming 2^(2n+2).
     """
     fam = SymPairFamily(kind, n)
     if cap is None:
         cap = default_closure_cap()
-    signs = 2 ** fam.ambient_dim
-    if signs > cap:
-        raise ClosureCapError("the scan enumerates %d sign matrices, over the cap of %d"
+    dim = fam.ambient_dim
+    if cap < 1 or dim >= cap.bit_length():
+        signs = "%d" % (2 ** dim,) if dim <= 64 else "2^(2n+2)"
+        raise ClosureCapError("the scan enumerates %s sign matrices, over the cap of %d"
                               % (signs, cap))
     return [decide_eq2(fam, Angle.make(k, m)) for k, m in scan_grid(denominators)]

@@ -425,6 +425,19 @@ def compute_X(g: GroupSpec, gbar: FinGroup):
 # --- the criterion --------------------------------------------------------------
 
 
+# The seven counts and verdicts of a criterion run, in report order; the
+# ``crit_3a1`` certificate pins each of them.
+CRITERION_FIELDS = (
+    "z_centralizer_order",
+    "liftable_order",
+    "x_order",
+    "quotient_order",
+    "y_order",
+    "phi_injective",
+    "phi_surjective",
+)
+
+
 class CriterionReport:
     """Counts and verdicts from one run of the criterion.
 
@@ -433,14 +446,7 @@ class CriterionReport:
     verified homomorphism from the mod-squares quotient to the target center.
     """
 
-    __slots__ = (
-        "z_centralizer_order",
-        "liftable_order",
-        "x_order",
-        "quotient_order",
-        "y_order",
-        "phi_injective",
-        "phi_surjective",
+    __slots__ = CRITERION_FIELDS + (
         "witness_chi",
         "split",
         "quotient_group",
@@ -467,17 +473,10 @@ class CriterionReport:
         return [0 if v.is_identity() else 1 for v in hom.images]
 
     def to_json(self) -> dict:
-        return {
-            "z_centralizer_order": self.z_centralizer_order,
-            "liftable_order": self.liftable_order,
-            "x_order": self.x_order,
-            "quotient_order": self.quotient_order,
-            "y_order": self.y_order,
-            "phi_injective": self.phi_injective,
-            "phi_surjective": self.phi_surjective,
-            "realised_characters": [self._chi_bits(h) for h in self.character_images],
-            "witness": None if self.witness_chi is None else self._chi_bits(self.witness_chi),
-        }
+        out = {name: getattr(self, name) for name in CRITERION_FIELDS}
+        out["realised_characters"] = [self._chi_bits(h) for h in self.character_images]
+        out["witness"] = None if self.witness_chi is None else self._chi_bits(self.witness_chi)
+        return out
 
 
 def _conjugation_character(g, gbar, quot, proj, zg_fin, trip: RotationTriple) -> Hom:

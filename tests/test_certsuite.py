@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from acceptcert import certsuite
 from acceptcert.certsuite import (
     COVERAGE,
     CertParamError,
@@ -11,6 +12,7 @@ from acceptcert.certsuite import (
     run,
     run_all,
 )
+from acceptcert.fingrp import ClosureCapError
 
 EXPECTED_IDS = [
     "su4_mod_center",
@@ -86,7 +88,7 @@ def test_run_sanity_certificate():
 
 
 def test_param_validation():
-    with pytest.raises(CertParamError):
+    with pytest.raises(CertParamError, match="unknown certificate id 'no_such_certificate'"):
         run("no_such_certificate")
     with pytest.raises(CertParamError):
         run("sp1_diag", {"m": 2, "eps": 1})
@@ -150,6 +152,42 @@ def test_run_all_grid_override():
     assert len(results) == 1
     assert results[0].params == {"m": 4, "eps": 1}
     assert results[0].passed
+
+
+def test_run_all_runs_given_ids_in_order_through_the_module_run(monkeypatch):
+    calls = []
+    orig = certsuite.run
+
+    def spy(cert_id, *args, **kwargs):
+        calls.append(cert_id)
+        return orig(cert_id, *args, **kwargs)
+
+    monkeypatch.setattr(certsuite, "run", spy)
+    results = run_all(cert_ids=["su4_power_d4", "su4_mod_center"])
+    assert [r.id for r in results] == ["su4_power_d4", "su4_power_d4", "su4_mod_center"]
+    assert calls == [r.id for r in results]
+    assert [r.id for r in run_all("su4_m*", cert_ids=["su4_power_d4", "su4_mod_center"])] \
+        == ["su4_mod_center"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cert_ids": ["su4_mod_center", "no_such_cert"]},
+    {"grid_overrides": {"su4_mod_center": [{}], "no_such_cert": [{}]}},
+    {"grid_overrides": {"sp1_diag": [{"m": 3, "eps": 1}, {"m": 3}]}},
+])
+def test_run_all_checks_every_input_before_anything_runs(monkeypatch, kwargs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate ran")
+
+    monkeypatch.setattr(certsuite, "run", refuse)
+    with pytest.raises(CertParamError):
+        run_all(**kwargs)
+
+
+def test_every_certificate_honours_the_closure_cap():
+    for cert in registry():
+        with pytest.raises(ClosureCapError):
+            run(cert.id, cap=1)
 
 
 def test_result_json_shape():

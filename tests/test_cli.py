@@ -1,6 +1,10 @@
 """Command line behavior: subcommands, exit codes, JSON reports."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -227,3 +231,45 @@ def test_verify_scan_expectation_follows_denominators(tmp_path, capsys):
     result = json.loads(out)["results"][0]
     assert result["expected"]["failing"] == [[3, 12], [9, 12]]
     assert result["verdicts"]["failing"] == [[3, 12], [9, 12]]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def limit_memory():
+    # a regression that builds a huge grid fails with MemoryError, not a full box
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("scan-scf", "o-odd", "10000"), {}),
+    (("verify", "scf_o_odd", "--params", "{grid}"),
+     {"grid": {"scf_o_odd": [{"n": 10000}]}}),
+    (("scan-scf", "o-odd", "1", "--denominators", "1000000000000"), {}),
+    (("verify", "scf_so_odd", "--params", "{grid}"),
+     {"grid": {"scf_so_odd": [{"n": 1, "denominators": [10 ** 12]}]}}),
+    (("verify", "psu_odd_prime", "--params", "{grid}"),
+     {"grid": {"psu_odd_prime": [{"p": 2 ** 61 - 1}]}}),
+    (("verify", "--params", "{grid}"),
+     {"grid": '{"sp1_diag": [{"m": %s, "eps": 1}]}' % ("9" * 5000,)}),
+    (("crit3a1", "--generators", "{gens}"),
+     {"gens": {"generators": [[["9" * 5000, "0", "0", "0"]] * 3]}}),
+    (("verify", "sanity_acceptable", "--max-closure", "1"), {}),
+], ids=["scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
+        "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
+        "generators_huge_coordinate", "sanity_over_cap"])
+def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files):
+    paths = {}
+    for name, content in files.items():
+        path = tmp_path / ("%s.json" % (name,))
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        paths[name] = str(path)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("ACCEPTCERT_MAX_CLOSURE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "acceptcert"] + [a.format(**paths) for a in argv],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not proc.stdout

@@ -136,7 +136,7 @@ def registry_pairs():
         if cert.kind == "hompair":
             for params in cert.param_grid:
                 out.append(("%s %r" % (cert.id, params),
-                            certsuite._HOMPAIR_BUILDERS[cert.id](params)[1]))
+                            cert.build(params)[1]))
     g = so3crit.standard_criterion_group()
     gbar = so3crit.rotation_group_from_quats(certsuite.criterion_generator_quats())
     report = so3crit.decide_criterion(g, gbar)
@@ -162,6 +162,26 @@ def test_coset_rep_is_the_least_central_translate_on_registry_images():
                     assert prod.rep == reference_coset_rep(
                         g, rep * g.ambient_of(f.images[k])), name
                 assert x.inverse().rep == reference_coset_rep(g, rep.inverse()), name
+
+
+def test_coset_identity_test_is_membership_in_the_subgroup_on_registry_quotients():
+    cosets = []
+    for _, pair in registry_pairs():
+        g = pair.target
+        for f in (pair.f, pair.fprime):
+            cosets.extend(f.images)
+        cosets.extend(g.wrap(z) for z in g.z_subgroup)
+    g = so3crit.standard_criterion_group()
+    gbar = so3crit.rotation_group_from_quats(certsuite.criterion_generator_quats())
+    report = so3crit.decide_criterion(g, gbar)
+    cosets.extend(report.quotient_group.elements)
+    cosets.extend(report.split.classes.elements)
+    answers = set()
+    for x in cosets:
+        assert x.is_identity() == (x.rep in x.ctx.normal), x
+        assert x.ctx.identity_rep in x.ctx.normal
+        answers.add(x.is_identity())
+    assert answers == {True, False}
 
 
 def test_shape_and_group_checks_survive_optimized_mode():

@@ -269,7 +269,7 @@ LIFT_CASES = ([("sp1_diag", {"m": m, "eps": eps}) for m in (3, 4, 5) for eps in 
 def lift_case_pair(cert_id, params):
     if cert_id == "sanity":
         return sign_quotient_sanity_pair(random.Random(params["seed"]), params["group"])
-    return certsuite._HOMPAIR_BUILDERS[cert_id](params)[1]
+    return certsuite.certificate(cert_id).build(params)[1]
 
 
 def canonical_lifts(pair):

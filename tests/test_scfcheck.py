@@ -8,12 +8,12 @@ import pytest
 
 from acceptcert.exactalg import ExactMatrix, ONE, ZERO, Subspace, cyc_half, flatten_matrix
 from acceptcert import scfcheck
+from acceptcert.exactalg import ConductorCapError
 from acceptcert.fingrp import ClosureCapError
 from acceptcert.grpcore import GroupError
 from acceptcert.scfcheck import (
     Angle,
-    Eq2Fails,
-    Eq2Holds,
+    Eq2Verdict,
     KIND_O_ODD,
     KIND_SO_ODD,
     NotSignPattern,
@@ -24,6 +24,7 @@ from acceptcert.scfcheck import (
     decide_eq2,
     intersection_descriptor,
     scan_angles,
+    scan_grid,
 )
 
 O_ODD_1 = SymPairFamily(KIND_O_ODD, 1)
@@ -108,13 +109,24 @@ def test_centralizer_of_full_rotation_algebra():
 
 def test_eq2_routes_pinned():
     v = decide_eq2(O_ODD_1, Angle.make(1, 6))
-    assert isinstance(v, Eq2Holds) and "centralizes" in v.route
+    assert v.outcome == "holds" and "centralizes" in v.route
     v = decide_eq2(O_ODD_1, Angle.make(2, 4))
-    assert isinstance(v, Eq2Holds) and "lies in the subgroup" in v.route
+    assert v.outcome == "holds" and "lies in the subgroup" in v.route
     v = decide_eq2(O_ODD_1, Angle.make(1, 4))
-    assert isinstance(v, Eq2Fails) and v.translates_checked == 4
+    assert v.outcome == "fails" and v.translates_checked == 4
     v = decide_eq2(SO_ODD_1, Angle.make(2, 4))
-    assert isinstance(v, Eq2Holds) and v.translates_checked == 2
+    assert v.outcome == "holds" and v.translates_checked == 2
+
+
+def test_eq2_verdict_json_keys():
+    base = {"family", "n", "condition", "k", "m", "outcome"}
+    held = decide_eq2(O_ODD_1, Angle.make(1, 6)).to_json()
+    assert set(held) == base | {"route"}
+    failed = decide_eq2(O_ODD_1, Angle.make(1, 4)).to_json()
+    assert set(failed) == base | {"route", "translates_checked"}
+    assert failed["route"] == "translate-scan" and failed["translates_checked"] == 4
+    undecided = Eq2Verdict(O_ODD_1, Angle.make(1, 4), "undecided", reason="why").to_json()
+    assert set(undecided) == base | {"reason"} and undecided["outcome"] == "undecided"
 
 
 def test_angle_reflection_symmetry():
@@ -161,6 +173,19 @@ def test_scan_refuses_sign_enumerations_over_the_cap(monkeypatch):
     monkeypatch.delenv("ACCEPTCERT_MAX_CLOSURE", raising=False)
     with pytest.raises(ClosureCapError, match="1048576 sign matrices"):
         scan_angles(KIND_O_ODD, 9, (4,))
+
+
+def test_scans_refuse_huge_inputs_before_building_anything():
+    with pytest.raises(ConductorCapError, match="conductor 964 exceeds the cap 240"):
+        scan_grid([4, 241])
+    with pytest.raises(ConductorCapError):
+        scan_grid([10 ** 12])
+    assert scan_grid([240, 1])[:2] == [(0, 1), (0, 240)]
+    # 2^(2n+2) is never formed: it would have over 6000 digits here
+    with pytest.raises(ClosureCapError, match=r"2\^\(2n\+2\) sign matrices"):
+        scan_angles(KIND_O_ODD, 10000, (4,))
+    with pytest.raises(ClosureCapError, match="16 sign matrices, over the cap of -100000"):
+        scan_angles(KIND_O_ODD, 1, (4,), cap=-100000)
 
 
 def test_family_validation():
