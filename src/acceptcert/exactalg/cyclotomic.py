@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 KERNEL_NAME = "pure"
 
@@ -715,6 +715,12 @@ def sqrt_rational(q) -> CycNum:
     Uses quadratic Gauss sums: sqrt(p) lies in Q(zeta_p) for p = 1 mod 4 and in
     Q(zeta_4p) for p = 3 mod 4; sqrt(2) lies in Q(zeta_8).  Raises
     ConductorCapError if the needed conductor is out of range.
+
+    The radicand is trial-divided only by the numbers up to CONDUCTOR_CAP, so
+    the cofactor left has no prime factor at or below the cap.  If it is not
+    a perfect square, some prime p > CONDUCTOR_CAP divides the square-free
+    part of the radicand; sqrt(p) then lies in Q(zeta_n) only when p divides
+    n, so the root is refused before any further factoring.
     """
     q = Fraction(q)
     if q < 0:
@@ -723,23 +729,25 @@ def sqrt_rational(q) -> CycNum:
         return ZERO
     num, den = q.numerator, q.denominator
     # sqrt(a/b) = sqrt(a*b) / b
-    radicand = num * den
+    m = num * den
     root = 1
     rest = 1
-    p = 2
-    m = radicand
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            root *= p ** (e // 2)
-            if e % 2:
-                rest *= p
-        p += 1
-    if m > 1:
-        rest *= m
+    for p in range(2, CONDUCTOR_CAP + 1):
+        if m == 1:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        root *= p ** (e // 2)
+        if e % 2:
+            rest *= p
+    cofactor = isqrt(m)
+    if cofactor * cofactor != m:
+        raise ConductorCapError(
+            "square root of a rational with a prime factor above the conductor "
+            "cap %d" % (CONDUCTOR_CAP,))
+    root *= cofactor
     value = cyc_rational(Fraction(root, den))
     for p in prime_factors(rest):
         value = value * _sqrt_prime(p)

@@ -21,6 +21,7 @@ verdict rather than a crash.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 
 
@@ -347,6 +348,13 @@ class Hom:
         O(n |gens|) products instead of O(n^2).  When the generators do not
         reach every element (or none are recorded), every pair is checked
         instead.
+
+        When the target is a FinGroup, an edge compares image indices under
+        the target's memoized ``mul_idx`` instead of multiplying images: the
+        index of a product is the index of the product element, so the
+        answer is the same, and a target of k elements makes at most k^2
+        products however many maps into it are verified.  An image that is
+        not an element of such a target raises GroupStructureError.
         """
         src = self.src
         images = self.images
@@ -354,11 +362,18 @@ class Hom:
         if not images[ident].is_identity():
             raise NotAHomomorphismError("identity does not map to identity",
                                         pair=(ident, ident))
+        target = self.target
+        if isinstance(target, FinGroup):
+            at = [target.idx(y) for y in images]
+            mul = target.mul_idx
+        else:
+            at = images
+            mul = operator.mul
         edges, tree = src.walk(src.gen_indices)
         for i in [ident] + [j for j, _, _ in tree]:
-            fi = images[i]
+            fi = at[i]
             for gi, j in edges[i].items():
-                if fi * images[gi] != images[j]:
+                if mul(fi, at[gi]) != at[j]:
                     raise _relation_failure(i, gi)
         if len(tree) == src.order - 1:
             return

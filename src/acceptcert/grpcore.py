@@ -13,10 +13,10 @@ Component parts are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  A module table maps each part value to one canonical
 object, and every place that creates a part for an AmbientElement (products,
 inverses, GroupSpec.element, the identity and the central elements) hands
-out that object; so3crit does the same for its rotation triples.  Products
-and inverses of parts are memoized on top: group-theoretic phases (closures,
-homomorphism verification, cocycle tables) repeat the same factor pairs
-constantly, and each distinct pair is only ever computed once.
+out that object.  Products and inverses of parts are memoized on top:
+group-theoretic phases (closures, homomorphism verification, cocycle tables)
+repeat the same factor pairs constantly, and each distinct pair is only ever
+computed once.
 
 Why this is sound.  Equality of parts stays structural (Quat.__eq__ and
 ExactMatrix.__eq__ compare components), and hashing stays a function of the

@@ -1,15 +1,17 @@
 """Character-count criterion on the quotient of three Sp(1) factors.
 
 The target group is Sp(1)^3 modulo the central pairs (1,-1,-1) and (-1,1,-1).
-The input is a finite rotation group in SO(3)^3, handed over as triples that
-remember one unit-quaternion lift per slot.  Two counts are compared: the
-central characters admitted by the rotation group (homomorphisms from its
-mod-squares quotient into the center of the target), and the characters that
-conjugation by a lifted centralizer element can actually realise.  Every
-realised character comes from a distinct centralizer class; when some
-character is missed, an explicit homomorphism pair into the target is built
-that is element-conjugate but not globally conjugate, and the pair is
-re-verified from scratch by the generic decision procedures.
+The input is a finite rotation group in SO(3)^3, which is the central
+quotient Sp(1)^3 / {+-1}^3 (see _rotation_space): each rotation triple is a
+fingrp.CosetElement held by its least quaternion lift.  Two counts are
+compared: the central characters admitted by the rotation group
+(homomorphisms from its mod-squares quotient into the center of the target),
+and the characters that conjugation by a lifted centralizer element can
+actually realise.  Every realised character comes from a distinct
+centralizer class; when some character is missed, an explicit homomorphism
+pair into the target is built that is element-conjugate but not globally
+conjugate, and the pair is re-verified from scratch by the generic decision
+procedures.
 
 Centralizers of rotation families are finite only when the family pins down
 every axis.  The degenerate cases return a typed InfiniteCentralizer value
@@ -30,6 +32,7 @@ from .exactalg import (
     sqrt_rational,
 )
 from .fingrp import (
+    CosetElement,
     FinGroup,
     GroupStructureError,
     Hom,
@@ -43,9 +46,6 @@ from .grpcore import (
     GroupError,
     GroupSpec,
     Quat,
-    _intern,
-    _memo_inv,
-    _memo_mul,
     adjoint_to_so3,
     sp1_factor,
 )
@@ -220,74 +220,41 @@ def so3_centralizer(delta: FinGroup, cap: int | None = None):
     return group
 
 
-# --- rotation triples with remembered lifts --------------------------------------
+# --- rotation triples as cosets of quaternion triples ----------------------------
 
 
-class RotationTriple:
-    """Element of SO(3)^3 that carries one unit-quaternion lift per slot.
+_ROTATION_SPACE = None
 
-    Equality, hashing and ordering use only the rotations, so a group of
-    these is honestly a rotation group; the lifts ride along through products
-    and inverses, which lets preimage constructions pick an exact lift off
-    the shelf instead of extracting square roots from matrices.  Two equal
-    triples may carry lifts differing by signs; any lift is as good as any
-    other everywhere they are used.  Every rotation and lift held here is
-    the canonical object of grpcore's part table (see its module docstring),
-    so the lookups keyed on triples compare parts by identity.
+
+def _rotation_space() -> GroupSpec:
+    """SO(3)^3 as Sp(1)^3 modulo all eight sign triples, built on first use.
+
+    The adjoint map q -> adjoint_to_so3(q) is onto SO(3) with kernel {+-1},
+    so Sp(1)^3 / {+-1}^3 is SO(3)^3.  Its elements are fingrp.CosetElements
+    held by their least quaternion lift: two are equal iff their rotation
+    triples are, and they commute iff their rotations commute.  Cosets
+    multiply only within one context, so every rotation triple shares this
+    one; it is built when first needed, since building it closes Z.
     """
-
-    __slots__ = ("rots", "quats", "_hash")
-
-    def __init__(self, rots: tuple, quats: tuple):
-        self.rots = rots
-        self.quats = quats
-        self._hash = None
-
-    def __mul__(self, other: "RotationTriple") -> "RotationTriple":
-        if not isinstance(other, RotationTriple):
-            return NotImplemented
-        return RotationTriple(
-            tuple(_memo_mul(a, b) for a, b in zip(self.rots, other.rots)),
-            tuple(_memo_mul(a, b) for a, b in zip(self.quats, other.quats)),
-        )
-
-    def inverse(self) -> "RotationTriple":
-        return RotationTriple(
-            tuple(_memo_inv(r) for r in self.rots),
-            tuple(_memo_inv(q) for q in self.quats),
-        )
-
-    def is_identity(self) -> bool:
-        return all(r.is_identity() for r in self.rots)
-
-    def sort_key(self):
-        return tuple(r.sort_key() for r in self.rots)
-
-    def __eq__(self, other):
-        if not isinstance(other, RotationTriple):
-            return NotImplemented
-        return self.rots == other.rots
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.rots)
-            self._hash = h
-        return h
-
-    def __repr__(self):
-        return "RotationTriple(%s)" % (", ".join(repr(q) for q in self.quats),)
+    global _ROTATION_SPACE
+    if _ROTATION_SPACE is None:
+        one = Quat.one()
+        m = -one
+        _ROTATION_SPACE = GroupSpec(
+            (sp1_factor(),) * 3,
+            center_gens=((m, one, one), (one, m, one), (one, one, m)))
+    return _ROTATION_SPACE
 
 
-def rotation_triple(quats) -> RotationTriple:
-    quats = tuple(quats)
-    if len(quats) != 3:
-        raise GroupError("expected three quaternion components, got %d" % len(quats))
-    for q in quats:
-        if not isinstance(q, Quat) or not q.is_unit():
-            raise GroupError("rotation lifts must be unit quaternions")
-    return RotationTriple(tuple(_intern(adjoint_to_so3(q)) for q in quats),
-                          tuple(_intern(q) for q in quats))
+def rotation_triple(quats) -> CosetElement:
+    """The element of SO(3)^3 with these three unit-quaternion lifts.
+
+    GroupSpec.element refuses a count other than three, and Factor.validate
+    anything that is not a unit quaternion.  Any lift of a coset serves
+    wherever one is needed: ``x.rep`` is the least one, ``x.rep.parts`` its
+    quaternions, and ``adjoint_to_so3`` of a part is the slot's rotation.
+    """
+    return _rotation_space().wrap_parts(quats)
 
 
 def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
@@ -321,9 +288,12 @@ def gamma_bar_prime(gbar: FinGroup, cap: int | None = None) -> FinGroup:
 
     The quotient by this subgroup is where characters live.  The returned
     subgroup is verified normal and verified to contain every square, which
-    forces the quotient to be an elementary abelian 2-group.
+    forces the quotient to be an elementary abelian 2-group.  A slot is a
+    half-turn iff its trace is -1; the adjoint trace of a unit quaternion
+    a + bi + cj + dk is 3a^2 - b^2 - c^2 - d^2 = 4a^2 - 1, so that happens iff
+    a = 0, for either lift +-q.
     """
-    gens = [x for x in gbar if all(r.trace() != MINUS_ONE for r in x.rots)]
+    gens = [x for x in gbar if not any(q.a.is_zero() for q in x.rep.parts)]
     gens.extend(x * x for x in gbar)
     sub = closure(list(dict.fromkeys(gens)), cap=cap if cap is not None else gbar.order)
     for x in sub:
@@ -355,9 +325,9 @@ class CentralizerSplit:
         self.projection = projection
 
 
-def _has_centralizing_lift(trip: RotationTriple, gen_lifts, central_set) -> bool:
+def _has_centralizing_lift(trip, gen_lifts, central_set) -> bool:
     for signs in itertools.product((1, -1), repeat=3):
-        parts = tuple(q if s == 1 else -q for q, s in zip(trip.quats, signs))
+        parts = tuple(q if s == 1 else -q for q, s in zip(trip.rep.parts, signs))
         cand = AmbientElement.make(parts)
         inv = cand.inverse()
         if all((cand * x) * (inv * x.inverse()) in central_set for x in gen_lifts):
@@ -373,19 +343,23 @@ def compute_X(g: GroupSpec, gbar: FinGroup):
     computation is off and an InfiniteCentralizer is returned.  Otherwise an
     element is liftable when one of its eight quaternion lifts commutes with
     every lifted generator up to the quotiented central subgroup, and the
-    result is the quotient of the centralizer by the liftable part.
+    result is the quotient of the centralizer by the liftable part.  The
+    recheck that each product element centralizes ``gbar`` compares cosets
+    over the generators only: cosets commute iff their rotations do, and an
+    element commutes with a group iff it commutes with a generating set.
     """
     _require_criterion_group(g)
+    space = _rotation_space()
     per_slot = []
     for pos in range(3):
-        slot = FinGroup([x.rots[pos] for x in gbar])
+        slot = FinGroup([adjoint_to_so3(x.rep.parts[pos]) for x in gbar])
         cz = so3_centralizer(slot)
         if isinstance(cz, InfiniteCentralizer):
             return InfiniteCentralizer("slot %d: %s" % (pos + 1, cz.reason))
-        pairs = []
+        lifts = []
         for m in cz:
             if m.is_identity():
-                pairs.append((m, Quat.one()))
+                lifts.append(Quat.one())
                 continue
             info = rotation_info(m)
             if not info.is_half_turn:
@@ -393,25 +367,21 @@ def compute_X(g: GroupSpec, gbar: FinGroup):
             q = _half_turn_lift(info.axis)
             if adjoint_to_so3(q) != m:
                 raise GroupStructureError("lift does not project back to its rotation")
-            pairs.append((m, q))
-        per_slot.append(pairs)
+            lifts.append(q)
+        per_slot.append(lifts)
 
-    triples = [
-        RotationTriple(tuple(_intern(m) for m, _ in combo),
-                       tuple(_intern(q) for _, q in combo))
-        for combo in itertools.product(*per_slot)
-    ]
+    gens = gbar.generators() or gbar.elements
+    triples = [space.wrap_parts(combo, validate=False)
+               for combo in itertools.product(*per_slot)]
     for trip in triples:
-        for x in gbar:
-            for cm, xm in zip(trip.rots, x.rots):
-                if not cm.commutes_with(xm):
-                    raise GroupStructureError("centralizer recheck failed")
+        for x in gens:
+            if trip * x != x * trip:
+                raise GroupStructureError("centralizer recheck failed")
     z_group = FinGroup(triples)
     z_group.gen_indices = tuple(range(z_group.order))
 
     central_set = set(g.z_subgroup)
-    gens = gbar.generators() or gbar.elements
-    gen_lifts = [g.element(x.quats) for x in gens]
+    gen_lifts = [x.rep for x in gens]
     liftable = [t for t in z_group if _has_centralizing_lift(t, gen_lifts, central_set)]
     lift_group = FinGroup(liftable)
     lift_group.gen_indices = tuple(range(lift_group.order))
@@ -479,18 +449,18 @@ class CriterionReport:
         return out
 
 
-def _conjugation_character(g, gbar, quot, proj, zg_fin, trip: RotationTriple) -> Hom:
+def _conjugation_character(g, gbar, quot, proj, zg_fin, trip) -> Hom:
     """Character x -> lift(c) x lift(c)^-1 x^-1 for one centralizer element c.
 
     The commutator lands in the center of the target because c centralizes
     the rotations; it is constant on cosets of the mod-squares quotient, and
     both facts are checked on every element rather than assumed.
     """
-    lift = AmbientElement(trip.quats)
+    lift = trip.rep
     inv = lift.inverse()
     per_coset = [None] * quot.order
     for i, x in enumerate(gbar.elements):
-        xl = AmbientElement(x.quats)
+        xl = x.rep
         comm = (lift * xl) * (inv * xl.inverse())
         w = g.wrap(comm)
         if w not in zg_fin:
@@ -552,9 +522,12 @@ def build_witness_pair(report: CriterionReport, g: GroupSpec, gbar: FinGroup,
 
     The source is the full preimage of the rotation group in the target; the
     first map is the inclusion and the second multiplies each element by the
-    missed character of its image coset.  The second map is verified as a
-    homomorphism (fingrp.Hom.verify).  Downstream the pair must test element-conjugate and not
-    globally conjugate; that cross-check lives with the callers.
+    missed character of its image coset.  Each element's rotation triple is
+    the coset of its ambient lift in SO(3)^3, and the generators of the
+    preimage are the lifts of the rotation generators, plus (-1,-1,-1) when
+    they alone miss it.  The second map is verified as a homomorphism
+    (fingrp.Hom.verify).  Downstream the pair must test element-conjugate and
+    not globally conjugate; that cross-check lives with the callers.
     """
     if report.witness_chi is None:
         raise GroupStructureError("every character is realised; no witness exists")
@@ -562,7 +535,7 @@ def build_witness_pair(report: CriterionReport, g: GroupSpec, gbar: FinGroup,
     proj = report.quotient_projection
 
     gens = list(gbar.generators() or gbar.elements)
-    lifted = [g.wrap_parts(t.quats) for t in gens]
+    lifted = [g.wrap(t.rep) for t in gens]
     gamma = closure(lifted, cap=cap)
     if gamma.order != 2 * gbar.order:
         m = -Quat.one()
@@ -572,11 +545,8 @@ def build_witness_pair(report: CriterionReport, g: GroupSpec, gbar: FinGroup,
         raise GroupStructureError(
             "preimage closure has order %d, expected %d" % (gamma.order, 2 * gbar.order))
 
-    images = []
-    for x in gamma:
-        trip = rotation_triple(x.rep.parts)
-        z = chi.apply(proj.apply(gbar.elements[gbar.idx(trip)]))
-        images.append(z * x)
+    space = _rotation_space()
+    images = [chi.apply(proj.apply(space.wrap(x.rep))) * x for x in gamma]
     f = identity_hom(gamma, target=g)
     fprime = Hom(gamma, g, tuple(images))
     return HomPair(f, fprime)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -255,9 +256,11 @@ def limit_memory():
     (("crit3a1", "--generators", "{gens}"),
      {"gens": {"generators": [[["9" * 5000, "0", "0", "0"]] * 3]}}),
     (("verify", "sanity_acceptable", "--max-closure", "1"), {}),
+    (("crit3a1", "--generators", "{gens}"),
+     {"gens": {"generators": [[["1*sqrt(2305843009213693951)", "0", "0", "0"]] * 3]}}),
 ], ids=["scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
         "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
-        "generators_huge_coordinate", "sanity_over_cap"])
+        "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand"])
 def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files):
     paths = {}
     for name, content in files.items():
@@ -273,3 +276,19 @@ def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert not proc.stdout
+
+
+def test_crit3a1_json_is_byte_identical_across_hash_seeds():
+    # element order, character rows and the witness must not depend on hashing
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("ACCEPTCERT_MAX_CLOSURE", None)
+        proc = subprocess.run([sys.executable, "-m", "acceptcert", "crit3a1", "--json"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        stripped, count = re.subn(r'"seconds": [^,\n]*', '"seconds": null', proc.stdout)
+        assert count == 1
+        outputs.append(stripped)
+    assert outputs[0] == outputs[1]

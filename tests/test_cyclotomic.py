@@ -84,6 +84,13 @@ def test_sqrt_rational_values():
         assert root.is_real()
     with pytest.raises(ExactAlgError):
         sqrt_rational(-2)
+    # a square of a prime above the conductor cap is taken out whole
+    assert sqrt_rational(2 * 251 ** 2) == 251 * sqrt_rational(2)
+    assert sqrt_rational(Fraction(3, 251 ** 2)) == sqrt_rational(3) / 251
+    with pytest.raises(ConductorCapError):
+        sqrt_rational(2 ** 61 - 1)
+    with pytest.raises(ConductorCapError):
+        sqrt_rational(Fraction(1, 2 * 251))
 
 
 def test_sqrt_five_is_the_positive_root():

@@ -215,10 +215,14 @@ def _extend_along_generators(src, gen_images, ident_image):
     return images
 
 
-def _verdict(src, images):
-    """(verdict of Hom.verify, whether its reported pair really fails)."""
+def _verdict(src, images, target=None):
+    """(verdict of Hom.verify, whether its reported pair really fails).
+
+    With a FinGroup ``target`` the edges are checked by index, otherwise by
+    multiplying the images.
+    """
     try:
-        Hom(src, None, tuple(images))
+        Hom(src, target, tuple(images))
     except NotAHomomorphismError as exc:
         i, j = exc.pair
         return False, images[i] * images[j] != images[src.mul_idx(i, j)]
@@ -252,8 +256,54 @@ def test_generator_check_agrees_with_full_check(name):
         is_hom, pair_fails = _verdict(src, images)
         assert is_hom == (first_failing_pair(src, images) is None)
         assert pair_fails
+        assert _verdict(src, images, target) == (is_hom, pair_fails)
         seen.add(is_hom)
     assert seen == {True, False}
+
+
+def _signs_quotient():
+    signs = FinGroup([Quat.one(), -Quat.one()])
+    return quotient_by_central(quaternion_group(), signs)[0]
+
+
+INDEX_CASES = {
+    "c2xc2 -> q8/{+-1}": (lambda: formal_group(FormalGroupSpec.cyclic_product(2, 2)),
+                          _signs_quotient),
+    "c2xc2xc2 -> c2xc2": (lambda: formal_group(FormalGroupSpec.cyclic_product(2, 2, 2)),
+                          lambda: formal_group(FormalGroupSpec.cyclic_product(2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CASES))
+def test_index_check_into_a_fingroup_target_agrees_with_full_check(name):
+    make_src, make_target = INDEX_CASES[name]
+    src, target = make_src(), make_target()
+    homs = hom_set_to_elem_abelian_2(src, target)
+    assert len(homs) == target.order ** len(src.gen_indices)
+    seen = set()
+    for hom in homs:
+        assert first_failing_pair(src, hom.images) is None
+        assert _verdict(src, hom.images, target) == (True, True)
+        for k in range(src.order):
+            for v in target.elements:
+                if v == hom.images[k]:
+                    continue
+                bad = list(hom.images)
+                bad[k] = v
+                is_hom, pair_fails = _verdict(src, bad, target)
+                assert is_hom == (first_failing_pair(src, bad) is None)
+                assert pair_fails
+                seen.add(is_hom)
+    assert seen == {False}
+
+
+def test_index_check_refuses_an_image_outside_the_target():
+    src = formal_group(FormalGroupSpec.cyclic_product(2, 2))
+    target = formal_group(FormalGroupSpec.cyclic_product(2, 2))
+    images = list(hom_set_to_elem_abelian_2(src, target)[0].images)
+    images[src.gen_indices[0]] = formal_group(FormalGroupSpec.cyclic_product(2)).elements[1]
+    with pytest.raises(GroupStructureError):
+        Hom(src, target, tuple(images))
 
 
 def test_verify_falls_back_when_generators_do_not_generate(monkeypatch):

@@ -10,7 +10,16 @@ character group of order 16.
 import pytest
 
 from acceptcert.exactalg import ExactMatrix, ONE, ZERO, cyc_rational
-from acceptcert.grpcore import GroupError, QUAT_I, QUAT_J, QUAT_K, Quat, adjoint_to_so3
+from acceptcert.grpcore import (
+    GroupError,
+    GroupSpec,
+    QUAT_I,
+    QUAT_J,
+    QUAT_K,
+    Quat,
+    adjoint_to_so3,
+    so3_factor,
+)
 from acceptcert.homcheck import (
     GloballyConjugate,
     NotGloballyConjugate,
@@ -149,6 +158,30 @@ def test_klein_family_is_surjective():
     assert report.witness_chi is None
     with pytest.raises(GroupStructureError):
         build_witness_pair(report, g, gbar)
+
+
+ROTATION_FAMILIES = {
+    "pinned": criterion_generator_quats,
+    "klein": lambda: ((QUAT_I,) * 3, (QUAT_J,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_FAMILIES))
+def test_rotation_triples_are_identified_by_their_rotations(name):
+    gens = ROTATION_FAMILIES[name]()
+    gbar = rotation_group_from_quats(gens)
+    rots = [tuple(rot(q) for q in x.rep.parts) for x in gbar]
+    for x, rx in zip(gbar, rots):
+        for y, ry in zip(gbar, rots):
+            assert (x == y) == (rx == ry)
+        # every other lift of the same rotations is the same element
+        first, second, third = x.rep.parts
+        assert rotation_triple((-first, second, -third)) == x
+    # independent path: close the rotation matrices themselves in SO(3)^3
+    so3_cubed = GroupSpec((so3_factor(),) * 3)
+    reference = closure([so3_cubed.element(tuple(rot(q) for q in t)) for t in gens])
+    assert len(set(rots)) == gbar.order == reference.order
+    assert set(rots) == {x.parts for x in reference}
 
 
 def test_rotation_triple_requires_units():
