@@ -198,17 +198,6 @@ def criterion_generator_quats() -> tuple:
 # --- builders ----------------------------------------------------------------------
 
 
-def _build_su4_mod_center(params):
-    g = _su4_mod_center_group(1)
-    src = formal_group(FormalGroupSpec.cyclic_product(4, 4))
-    a, b = _su4_witness_images()
-    f = hom_from_gens(src, src.gen_indices,
-                      (g.wrap_parts((a,)), g.wrap_parts((b,))), target=g)
-    fp = hom_from_gens(src, src.gen_indices,
-                       (g.wrap_parts((a.conj(),)), g.wrap_parts((b.conj(),))), target=g)
-    return g, HomPair(f, fp)
-
-
 def _build_sp1_diag(params):
     m = params["m"]
     eps = params["eps"]
@@ -499,7 +488,8 @@ _SCAN_OPTIONAL = {"denominators": _INT_LIST}
 _REGISTRY = (
     Certificate(
         id="su4_mod_center",
-        kind="hompair", runner=_run_hompair, build=_build_su4_mod_center,
+        kind="hompair", runner=_run_hompair,
+        build=lambda params: _build_su4_power_d4({"k": 1}),
         claim=("Commuting diagonal fourth-root images and their entrywise "
                "conjugates into SU(4) mod its sign scalar: conjugate element "
                "by element, never by one global conjugator."),

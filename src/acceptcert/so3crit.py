@@ -13,24 +13,23 @@ pair into the target is built that is element-conjugate but not globally
 conjugate, and the pair is re-verified from scratch by the generic decision
 procedures.
 
+Every rotation is read from a quaternion lift q = a + v, never from a 3x3
+matrix: it is the identity iff v = 0, a half-turn iff a = 0, and otherwise
+turns about the axis v; the half-turn about a pure unit u commutes with it
+iff u x v = 0, or a = 0 and u.v = 0 (proof in so3_centralizer).
 Centralizers of rotation families are finite only when the family pins down
 every axis.  The degenerate cases return a typed InfiniteCentralizer value
 instead of raising: "the test does not apply here" is an answer, not a
-failure of the machinery.
+failure of the machinery.  A generator of infinite order is refused before
+any closure (rotation_group_from_quats).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .exactalg import (
-    ExactMatrix,
-    ONE,
-    ZERO,
-    cyc_rational,
-    nullspace,
-    sqrt_rational,
-)
+from .exactalg import ZERO, sqrt_rational
 from .fingrp import (
     CosetElement,
     FinGroup,
@@ -46,13 +45,9 @@ from .grpcore import (
     GroupError,
     GroupSpec,
     Quat,
-    adjoint_to_so3,
     sp1_factor,
 )
 from .homcheck import HomPair
-
-MINUS_ONE = cyc_rational(-1)
-TWO = cyc_rational(2)
 
 
 class InjectivityViolation(GroupStructureError):
@@ -76,29 +71,7 @@ class InfiniteCentralizer:
         return "InfiniteCentralizer(%r)" % (self.reason,)
 
 
-# --- rotation geometry ----------------------------------------------------------
-
-
-class RotationInfo:
-    """Axis data of a single exact rotation.
-
-    ``axis`` is the fixed direction scaled so its first nonzero coordinate is
-    one, or None for the identity; parallel axes compare equal after that
-    normalisation.  A rotation is a half-turn exactly when its trace is -1.
-    """
-
-    __slots__ = ("axis", "trace", "is_identity", "is_half_turn")
-
-    def __init__(self, axis, trace, is_identity, is_half_turn):
-        self.axis = axis
-        self.trace = trace
-        self.is_identity = is_identity
-        self.is_half_turn = is_half_turn
-
-    def __repr__(self):
-        if self.is_identity:
-            return "RotationInfo(identity)"
-        return "RotationInfo(axis=%r, half_turn=%r)" % (self.axis, self.is_half_turn)
+# --- rotation geometry from quaternion lifts -------------------------------------
 
 
 def _canonical_direction(vec):
@@ -122,41 +95,11 @@ def _cross(u, v):
     )
 
 
-def rotation_info(m: ExactMatrix) -> RotationInfo:
-    if m.rows != 3 or m.cols != 3:
-        raise GroupError("rotation data must be 3x3")
-    if not (m.is_real() and m.is_orthogonal() and m.det() == ONE):
-        raise GroupError("matrix is not a rotation")
-    tr = m.trace()
-    fixed = nullspace(m - ExactMatrix.identity(3))
-    if fixed.dim == 3:
-        return RotationInfo(None, tr, True, False)
-    if fixed.dim != 1:
-        raise GroupError("rotation fixes a space of impossible dimension %d" % fixed.dim)
-    axis = _canonical_direction(fixed.basis[0])
-    return RotationInfo(axis, tr, False, tr == MINUS_ONE)
-
-
-def half_turn_about(axis) -> ExactMatrix:
-    """The rotation by a half turn about ``axis``: 2 vv^T / (v^T v) - I."""
-    axis = tuple(axis)
-    inv = _dot(axis, axis).inverse()
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            val = TWO * axis[i] * axis[j] * inv
-            row.append(val - ONE if i == j else val)
-        rows.append(row)
-    return ExactMatrix.make(rows)
-
-
 def _half_turn_lift(axis) -> Quat:
     """Unit quaternion along ``axis`` (pure imaginary, so a half-turn lift).
 
     Only axes whose squared length is rational are supported; that covers
-    every axis a finite rotation family can produce here, and the result is
-    checked against the rotation it came from at the call site.
+    every axis a finite rotation family can produce here.
     """
     s = _dot(axis, axis)
     if not s.is_rational():
@@ -165,59 +108,49 @@ def _half_turn_lift(axis) -> Quat:
     return Quat.make(ZERO, axis[0] * scale, axis[1] * scale, axis[2] * scale)
 
 
-# --- centralizers of finite rotation and quaternion families --------------------
+# --- centralizers of finite rotation families -----------------------------------
 
 
-def so3_centralizer(delta: FinGroup, cap: int | None = None):
-    """Centralizer in SO(3) of a finite rotation group, when it is finite.
+def so3_centralizer(quats):
+    """Half-turn lifts spanning the centralizer in SO(3) of a rotation family.
 
-    With at least two distinct rotation axes present the centralizer consists
-    of the identity and of half-turns; candidate half-turn axes can only be
-    element axes or cross products of two non-parallel element axes.  Each
-    candidate is screened geometrically, then verified by exact matrix
-    commutation, and the collection is closed.  Families with no rotation at
-    all, or with a single shared axis, have a one-parameter centralizer and
-    yield InfiniteCentralizer.
+    ``quats`` are unit quaternions; each q = a + v stands for its rotation
+    x -> q x q^-1, which is the identity iff v = 0, a half-turn iff a = 0,
+    and otherwise turns about the axis v.  The half-turn about a pure unit u
+    commutes with that rotation iff uq = +-qu (the adjoint map has kernel
+    +-1).  Since uq - qu = 2 u x v and uq + qu = 2(a u - u.v), that is iff
+    u x v = 0, or a = 0 and u.v = 0: the screen below, on canonical axes.
+
+    A rotation c != 1 with axis p commuting with a rotation r != 1 about w
+    maps w to c(w) = +-w.  If c(w) = w then p is parallel to w; if
+    c(w) = -w then c is a half-turn about p perpendicular to w, and
+    c r c^-1 = r^-1 forces r to be a half-turn.  So with at least two
+    non-parallel axes in the family every c != 1 in the centralizer is a
+    half-turn whose axis is an element axis or, being perpendicular to two
+    non-parallel axes, parallel to their cross product.  Those candidates
+    are screened exactly, so the returned lifts are the half-turns of the
+    centralizer: with the identity they make the whole (finite) centralizer.
+    Families with no rotation at all, or with a single shared axis, have a
+    one-parameter centralizer and yield InfiniteCentralizer.
     """
-    infos = [rotation_info(m) for m in delta]
-    infos = [info for info in infos if not info.is_identity]
-    if not infos:
+    turns = list(dict.fromkeys(
+        (_canonical_direction((q.b, q.c, q.d)), q.a.is_zero())
+        for q in dict.fromkeys(quats)
+        if not (q.b.is_zero() and q.c.is_zero() and q.d.is_zero())))
+    if not turns:
         return InfiniteCentralizer("every rotation in the family is the identity")
-    first = infos[0].axis
-    if all(info.axis == first for info in infos):
+    axes = list(dict.fromkeys(axis for axis, _ in turns))
+    if len(axes) == 1:
         return InfiniteCentralizer("all rotation axes are parallel")
 
-    candidates = dict.fromkeys(info.axis for info in infos)
-    for i, a in enumerate(infos):
-        for b in infos[i + 1 :]:
-            if a.axis != b.axis:
-                candidates.setdefault(_canonical_direction(_cross(a.axis, b.axis)))
-
-    members = [ExactMatrix.identity(3)]
-    for axis in candidates:
-        ok = True
-        for info in infos:
-            if info.axis == axis:
-                continue
-            if info.is_half_turn and _dot(info.axis, axis).is_zero():
-                continue
-            ok = False
-            break
-        if not ok:
-            continue
-        turn = half_turn_about(axis)
-        for m in delta:
-            if not turn.commutes_with(m):
-                raise GroupStructureError(
-                    "half-turn passed the axis screen but fails to commute")
-        members.append(turn)
-
-    group = closure(members, cap=cap)
-    for c in group:
-        for m in delta:
-            if not c.commutes_with(m):
-                raise GroupStructureError("centralizer closure broke commutation")
-    return group
+    candidates = dict.fromkeys(axes)
+    for i, a in enumerate(axes):
+        for b in axes[i + 1 :]:
+            candidates.setdefault(_canonical_direction(_cross(a, b)))
+    return [
+        _half_turn_lift(u) for u in candidates
+        if all(axis == u or (half and _dot(axis, u).is_zero()) for axis, half in turns)
+    ]
 
 
 # --- rotation triples as cosets of quaternion triples ----------------------------
@@ -257,9 +190,41 @@ def rotation_triple(quats) -> CosetElement:
     return _rotation_space().wrap_parts(quats)
 
 
+def _has_finite_order(q: Quat) -> bool:
+    """Whether the unit quaternion q has finite order, by q^L == 1.
+
+    L = lcm(2 n, 12) with n = q.a.n, the least conductor of the real part.
+    If q has order M it is conjugate in Sp(1) to a primitive M-th root of
+    unity z, so a = (z + 1/z)/2 and Q(a) is the real subfield of Q(zeta_M).
+    Its conductor n is M, or M/2 when M = 2 mod 4, unless the subfield is Q,
+    which happens for M in {1, 2, 3, 4, 6} (Washington, Introduction to
+    Cyclotomic Fields, ch. 3).  So M divides 2n or 12, hence L, and q^L = 1;
+    a q of infinite order fails the test.  Repeated squaring makes about
+    2 log2(L) quaternion products.
+    """
+    exp = math.lcm(2 * q.a.n, 12)
+    power, base = Quat.one(), q
+    while exp:
+        if exp & 1:
+            power = power * base
+        base = base * base
+        exp >>= 1
+    return power.is_identity()
+
+
 def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
-    """Closure in SO(3)^3 of the rotations of the given quaternion triples."""
-    return closure([rotation_triple(t) for t in triples], cap=cap)
+    """Closure in SO(3)^3 of the rotations of the given quaternion triples.
+
+    A unit quaternion of infinite order would make the closure run until
+    its cap, so every slot is tested first and refused with GroupError.
+    """
+    gens = [rotation_triple(t) for t in triples]
+    for pos, t in enumerate(gens):
+        for slot, q in enumerate(t.rep.parts):
+            if not _has_finite_order(q):
+                raise GroupError("generator %d, slot %d has infinite order"
+                                 % (pos, slot + 1))
+    return closure(gens, cap=cap)
 
 
 def standard_criterion_group() -> GroupSpec:
@@ -340,45 +305,36 @@ def compute_X(g: GroupSpec, gbar: FinGroup):
 
     The centralizer in SO(3)^3 is the product of the per-slot centralizers of
     the slot projections; when any slot centralizer is infinite the whole
-    computation is off and an InfiniteCentralizer is returned.  Otherwise an
-    element is liftable when one of its eight quaternion lifts commutes with
-    every lifted generator up to the quotiented central subgroup, and the
-    result is the quotient of the centralizer by the liftable part.  The
-    recheck that each product element centralizes ``gbar`` compares cosets
-    over the generators only: cosets commute iff their rotations do, and an
-    element commutes with a group iff it commutes with a generating set.
+    computation is off and an InfiniteCentralizer is returned.  Otherwise
+    each slot's half-turn lifts (so3_centralizer) are put in their slot, with
+    1 in the other two, and closed once in SO(3)^3: that closure is the
+    product of the slot centralizers.  An element is liftable when one of
+    its eight quaternion lifts commutes with every lifted generator up to
+    the quotiented central subgroup, and the result is the quotient of the
+    centralizer by the liftable part.  The exact recheck that each
+    centralizer element commutes with ``gbar`` compares cosets over the
+    generators only: cosets commute iff their rotations do, and an element
+    commutes with a group iff it commutes with a generating set.
     """
     _require_criterion_group(g)
     space = _rotation_space()
-    per_slot = []
+    one = Quat.one()
+    slot_gens = []
     for pos in range(3):
-        slot = FinGroup([adjoint_to_so3(x.rep.parts[pos]) for x in gbar])
-        cz = so3_centralizer(slot)
-        if isinstance(cz, InfiniteCentralizer):
-            return InfiniteCentralizer("slot %d: %s" % (pos + 1, cz.reason))
-        lifts = []
-        for m in cz:
-            if m.is_identity():
-                lifts.append(Quat.one())
-                continue
-            info = rotation_info(m)
-            if not info.is_half_turn:
-                raise GroupStructureError("finite centralizer holds a non-half-turn")
-            q = _half_turn_lift(info.axis)
-            if adjoint_to_so3(q) != m:
-                raise GroupStructureError("lift does not project back to its rotation")
-            lifts.append(q)
-        per_slot.append(lifts)
+        lifts = so3_centralizer(x.rep.parts[pos] for x in gbar)
+        if isinstance(lifts, InfiniteCentralizer):
+            return InfiniteCentralizer("slot %d: %s" % (pos + 1, lifts.reason))
+        for u in lifts:
+            parts = [one, one, one]
+            parts[pos] = u
+            slot_gens.append(space.wrap_parts(parts, validate=False))
+    z_group = closure(slot_gens or [space.identity()])
 
     gens = gbar.generators() or gbar.elements
-    triples = [space.wrap_parts(combo, validate=False)
-               for combo in itertools.product(*per_slot)]
-    for trip in triples:
+    for trip in z_group:
         for x in gens:
             if trip * x != x * trip:
                 raise GroupStructureError("centralizer recheck failed")
-    z_group = FinGroup(triples)
-    z_group.gen_indices = tuple(range(z_group.order))
 
     central_set = set(g.z_subgroup)
     gen_lifts = [x.rep for x in gens]

@@ -258,9 +258,12 @@ def limit_memory():
     (("verify", "sanity_acceptable", "--max-closure", "1"), {}),
     (("crit3a1", "--generators", "{gens}"),
      {"gens": {"generators": [[["1*sqrt(2305843009213693951)", "0", "0", "0"]] * 3]}}),
+    (("crit3a1", "--generators", "{gens}"),
+     {"gens": {"generators": [[["3/5", "4/5", "0", "0"]] * 3]}}),
 ], ids=["scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
         "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
-        "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand"])
+        "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand",
+        "generators_infinite_order"])
 def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files):
     paths = {}
     for name, content in files.items():

@@ -5,11 +5,28 @@ closure computation in tests/oracles/quat_triple_counts.py: rotation group
 of order 64, commuting-triple group of order 8 splitting into 8 classes
 with exactly one liftable, mod-squares quotient of order 16 against a
 character group of order 16.
+
+so3crit reads rotations from their quaternion lifts; the matrix path it
+replaced (axes by nullspace, half-turn matrices closed in SO(3)) stays here
+as the reference that so3_centralizer is checked against.
 """
+
+import itertools
+import math
 
 import pytest
 
-from acceptcert.exactalg import ExactMatrix, ONE, ZERO, cyc_rational
+from acceptcert.exactalg import (
+    ExactMatrix,
+    ONE,
+    ZERO,
+    cyc_half,
+    cyc_i,
+    cyc_rational,
+    cyc_zeta,
+    nullspace,
+    sqrt_rational,
+)
 from acceptcert.grpcore import (
     GroupError,
     GroupSpec,
@@ -34,9 +51,7 @@ from acceptcert.so3crit import (
     compute_X,
     decide_criterion,
     gamma_bar_prime,
-    half_turn_about,
     rotation_group_from_quats,
-    rotation_info,
     rotation_triple,
     so3_centralizer,
     standard_criterion_group,
@@ -47,55 +62,141 @@ def rot(q):
     return adjoint_to_so3(q)
 
 
-def test_rotation_info_basic():
-    ident = rotation_info(ExactMatrix.identity(3))
-    assert ident.is_identity
-
-    quarter = rotation_info(rot(eta_quat()))
-    assert not quarter.is_identity
-    assert not quarter.is_half_turn
-    assert quarter.trace == ONE
-    assert quarter.axis == (ONE, ZERO, ZERO)
-
-    half = rotation_info(rot(QUAT_J))
-    assert half.is_half_turn
-    assert half.trace == -ONE
-    assert half.axis == (ZERO, ONE, ZERO)
+# --- reference: rotation data from 3x3 matrices -----------------------------------
 
 
-def test_rotation_info_rejects_non_rotations():
-    with pytest.raises(GroupError):
-        rotation_info(ExactMatrix.diagonal([ONE, ONE, -ONE]))
-    with pytest.raises(GroupError):
-        rotation_info(ExactMatrix.identity(2))
+def _canonical_direction(vec):
+    lead = next(v for v in vec if not v.is_zero()).inverse()
+    return tuple(lead * v for v in vec)
 
 
-def test_half_turn_about_is_a_half_turn():
-    two = cyc_rational(2)
-    axis = (ONE, two, two)
-    m = half_turn_about(axis)
-    info = rotation_info(m)
-    assert info.is_half_turn
-    assert m.is_orthogonal() and m.det() == ONE
-    x, y, z = axis
-    image = tuple(m.row(i)[0] * x + m.row(i)[1] * y + m.row(i)[2] * z
-                  for i in range(3))
-    assert image == axis
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def reference_rotation_info(m):
+    """(axis, is_half_turn) of a rotation matrix, axis None for the identity.
+
+    The axis spans the fixed space (nullspace of m - I), scaled so its first
+    nonzero coordinate is one; a rotation is a half-turn iff its trace is -1.
+    """
+    fixed = nullspace(m - ExactMatrix.identity(3))
+    if fixed.dim == 3:
+        return None, False
+    assert fixed.dim == 1
+    axis = _canonical_direction(fixed.basis[0])
+    return axis, m.trace() == -ONE
+
+
+def reference_half_turn(axis):
+    """The rotation by a half turn about ``axis``: 2 vv^T / (v^T v) - I."""
+    inv = _dot(axis, axis).inverse()
+    return ExactMatrix.make(
+        [[cyc_rational(2) * axis[i] * axis[j] * inv - (ONE if i == j else ZERO)
+          for j in range(3)] for i in range(3)])
+
+
+def reference_so3_centralizer(mats):
+    """The matrix path: axes by nullspace, screened half-turn matrices, closure."""
+    infos = [reference_rotation_info(m) for m in mats]
+    infos = [info for info in infos if info[0] is not None]
+    if not infos:
+        return InfiniteCentralizer("every rotation in the family is the identity")
+    if all(axis == infos[0][0] for axis, _ in infos):
+        return InfiniteCentralizer("all rotation axes are parallel")
+    candidates = dict.fromkeys(axis for axis, _ in infos)
+    for i, (a, _) in enumerate(infos):
+        for b, _ in infos[i + 1 :]:
+            if a != b:
+                candidates.setdefault(_canonical_direction(_cross(a, b)))
+    members = [ExactMatrix.identity(3)]
+    for axis in candidates:
+        if all(other == axis or (half and _dot(other, axis).is_zero())
+               for other, half in infos):
+            turn = reference_half_turn(axis)
+            assert all(turn.commutes_with(m) for m in mats)
+            members.append(turn)
+    return closure(members)
+
+
+def octahedral_generators():
+    """(1 + i)/sqrt(2) and (1 + j)/sqrt(2): quarter turns about two axes."""
+    h = sqrt_rational(2) * cyc_half()
+    return Quat.make(h, h, ZERO, ZERO), Quat.make(h, ZERO, h, ZERO)
+
+
+def octahedral_lifts():
+    """One unit-quaternion lift of each of the 24 octahedral rotations."""
+    gens = octahedral_generators()
+    lifts = {}
+    for q in closure(gens):
+        lifts.setdefault(rot(q), q)
+    assert set(lifts) == set(closure([rot(q) for q in gens]).elements)
+    return list(lifts.values())
+
+
+def slot_families():
+    quats = octahedral_lifts()
+    assert len(quats) == 24
+    families = [[q] for q in quats] + [list(f) for f in itertools.combinations(quats, 2)]
+    for name in sorted(ROTATION_FAMILIES):
+        gbar = rotation_group_from_quats(ROTATION_FAMILIES[name]())
+        families.extend([x.rep.parts[pos] for x in gbar] for pos in range(3))
+    return families
+
+
+def test_quaternion_centralizer_matches_the_matrix_path():
+    families = slot_families()
+    assert len(families) == 300 + 3 * len(ROTATION_FAMILIES)
+    for quats in families:
+        lifts = so3_centralizer(quats)
+        reference = reference_so3_centralizer(list(dict.fromkeys(rot(q) for q in quats)))
+        if isinstance(reference, InfiniteCentralizer):
+            assert isinstance(lifts, InfiniteCentralizer)
+            assert lifts.reason == reference.reason
+            continue
+        assert not isinstance(lifts, InfiniteCentralizer), lifts
+        assert all(q.a.is_zero() and q.is_unit() for q in lifts)
+        rotations = [ExactMatrix.identity(3)] + [rot(q) for q in lifts]
+        assert len(set(rotations)) == len(rotations)
+        assert set(rotations) == set(reference.elements)
 
 
 def test_so3_centralizer_of_a_klein_four():
-    group = closure([rot(QUAT_I), rot(QUAT_J)])
-    cz = so3_centralizer(group.elements)
-    assert not isinstance(cz, InfiniteCentralizer)
-    assert cz.order == 4
+    assert set(so3_centralizer([QUAT_I, QUAT_J])) == {QUAT_I, QUAT_J, QUAT_K}
 
 
 def test_so3_centralizer_degenerate_cases():
-    assert isinstance(so3_centralizer([ExactMatrix.identity(3)]),
-                      InfiniteCentralizer)
-    parallel = so3_centralizer([rot(QUAT_I), rot(eta_quat())])
+    identity = so3_centralizer([Quat.one(), -Quat.one()])
+    assert isinstance(identity, InfiniteCentralizer)
+    assert "identity" in identity.reason
+    parallel = so3_centralizer([QUAT_I, eta_quat()])
     assert isinstance(parallel, InfiniteCentralizer)
     assert "parallel" in parallel.reason
+
+
+def turn_quat(m):
+    """cos(2 pi/m) + sin(2 pi/m) i: a unit quaternion of order m."""
+    z = cyc_zeta(m)
+    return Quat.make((z + z.inverse()) * cyc_half(),
+                     (z - z.inverse()) * cyc_half() * cyc_i().inverse(), ZERO, ZERO)
+
+
+def test_rotation_group_refuses_a_generator_of_infinite_order():
+    # order m quaternions pass for every m, 2 mod 4 and real-part-rational ones
+    # included; the rotation of such a q has order m / gcd(m, 2)
+    for m in range(1, 17):
+        q = turn_quat(m)
+        gbar = rotation_group_from_quats([(q, Quat.one(), q)])
+        assert gbar.order == m // math.gcd(m, 2)
+    endless = Quat.make(cyc_rational(3) / 5, cyc_rational(4) / 5, ZERO, ZERO)
+    with pytest.raises(GroupError, match="slot 2 has infinite order"):
+        rotation_group_from_quats([(QUAT_I, QUAT_J, QUAT_K), (QUAT_I, endless, QUAT_K)])
 
 
 def test_standard_group_shape():
@@ -163,7 +264,17 @@ def test_klein_family_is_surjective():
 ROTATION_FAMILIES = {
     "pinned": criterion_generator_quats,
     "klein": lambda: ((QUAT_I,) * 3, (QUAT_J,) * 3),
+    "octahedral": lambda: tuple((q,) * 3 for q in octahedral_generators()),
 }
+
+
+def test_octahedral_family_has_a_trivial_centralizer():
+    g = standard_criterion_group()
+    gbar = rotation_group_from_quats(ROTATION_FAMILIES["octahedral"]())
+    assert gbar.order == 24
+    report = decide_criterion(g, gbar)
+    assert report.z_centralizer_order == report.x_order == report.y_order == 1
+    assert report.phi_surjective
 
 
 @pytest.mark.parametrize("name", sorted(ROTATION_FAMILIES))
