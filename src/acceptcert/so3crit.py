@@ -222,7 +222,7 @@ def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
     for pos, t in enumerate(gens):
         for slot, q in enumerate(t.rep.parts):
             if not _has_finite_order(q):
-                raise GroupError("generator %d, slot %d has infinite order"
+                raise GroupError("generators[%d], slot %d of 1-3, has infinite order"
                                  % (pos, slot + 1))
     return closure(gens, cap=cap)
 
