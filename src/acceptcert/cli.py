@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -123,8 +124,17 @@ def _emit(args, payload, lines) -> None:
 
 
 def _check_cap(args) -> None:
+    """Refuse a closure cap below 1 from the flag or from the environment."""
     if args.max_closure is not None and args.max_closure < 1:
         raise CertParamError("--max-closure must be a positive integer")
+    env = os.environ.get("ACCEPTCERT_MAX_CLOSURE")
+    if env is not None:
+        try:
+            positive = int(env) >= 1  # the parse of fingrp.default_closure_cap
+        except ValueError:
+            positive = False
+        if not positive:
+            raise CertParamError("ACCEPTCERT_MAX_CLOSURE must be a positive integer")
 
 
 # --- subcommands ---------------------------------------------------------------------

@@ -8,7 +8,8 @@ classical facts this module relies on without re-proving them in code:
   SU(n) are SU(n)-conjugate (divide the conjugator by an n-th root of its
   determinant).
 - Sp(1): unit quaternions are conjugate iff their real parts agree.
-- SO(3): rotations are conjugate iff their traces agree.
+- SO(3) is ``GroupSpec((sp1_factor(),), center_gens=((-Quat.one(),),))``: the
+  Z-translates compare real parts up to sign, as rotation traces 4a^2 - 1 do.
 
 Everything is computed exactly; no numerics, no tolerance.
 """
@@ -26,9 +27,7 @@ def invariant(factor: Factor, part) -> tuple:
     """Complete conjugacy invariant of one factor element, as a CycNum tuple."""
     if factor.kind == "SU":
         return part.char_poly()
-    if factor.kind == "Sp1":
-        return (part.real_part(),)
-    return (part.trace(),)
+    return (part.real_part(),)
 
 
 def invariant_vector(factors, x: AmbientElement) -> tuple:

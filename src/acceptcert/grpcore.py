@@ -1,13 +1,14 @@
-"""Ambient compact groups: products of SU(n), Sp(1), SO(3), and central quotients.
+"""Ambient compact groups: products of SU(n) and Sp(1), and central quotients.
 
-Group elements are exact objects: an SU(n) or SO(3) component is an
-ExactMatrix, an Sp(1) component is a unit quaternion with real cyclotomic
-components.  An element of a product is an AmbientElement (tuple of
-components); an element of a central quotient is a fingrp.CosetElement over
-the GroupSpec's coset context, storing the canonical coset representative
-(the least translate z x, z in Z, under the deterministic sort key), so
-equality and hashing are plain structural comparisons.  Z is enumerated by
-fingrp.closure.
+Group elements are exact objects: an SU(n) component is an ExactMatrix, an
+Sp(1) component is a unit quaternion with real cyclotomic components.  An
+element of a product is an AmbientElement (tuple of components); an element
+of a central quotient is a fingrp.CosetElement over the GroupSpec's coset
+context, storing the canonical coset representative (the least translate
+z x, z in Z, under the deterministic sort key), so equality and hashing are
+plain structural comparisons.  Z is enumerated by fingrp.closure.  SO(3)
+is Sp(1)/{+-1}, an Sp(1) factor whose -1 lies in Z:
+``GroupSpec((sp1_factor(),), center_gens=((-Quat.one(),),))``.
 
 Component parts are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  A module table maps each part value to one canonical
@@ -47,7 +48,6 @@ from .exactalg import (
     ExactMatrix,
     ONE,
     ZERO,
-    cyc_rational,
     cyc_zeta,
 )
 from .exactalg.cyclotomic import _coerce
@@ -159,27 +159,11 @@ QUAT_J = Quat(ZERO, ZERO, ONE, ZERO)
 QUAT_K = Quat(ZERO, ZERO, ZERO, ONE)
 
 
-def adjoint_to_so3(q: Quat) -> ExactMatrix:
-    """Rotation matrix of v -> q v q^-1 on the span of i, j, k (unit q).
-
-    Columns are the images of i, j, k, so for example (1+i)/sqrt(2) maps to the
-    quarter turn [[1,0,0],[0,0,-1],[0,1,0]].
-    """
-    a, b, c, d = q.a, q.b, q.c, q.d
-    two = cyc_rational(2)
-    aa, bb, cc, dd = a * a, b * b, c * c, d * d
-    return ExactMatrix.make([
-        [aa + bb - cc - dd, two * (b * c - a * d), two * (b * d + a * c)],
-        [two * (b * c + a * d), aa - bb + cc - dd, two * (c * d - a * b)],
-        [two * (b * d - a * c), two * (c * d + a * b), aa - bb - cc + dd],
-    ])
-
-
 # --- factors ------------------------------------------------------------------
 
 
 class Factor:
-    """One ambient factor: kind is "SU" (with size n >= 2), "Sp1" or "SO3"."""
+    """One ambient factor: kind is "SU" (with size n >= 2) or "Sp1"."""
 
     __slots__ = ("kind", "n")
 
@@ -187,7 +171,7 @@ class Factor:
         if kind == "SU":
             if n < 2:
                 raise GroupError("SU factor needs n >= 2")
-        elif kind in ("Sp1", "SO3"):
+        elif kind == "Sp1":
             n = 0
         else:
             raise GroupError("unknown factor kind %r" % (kind,))
@@ -197,9 +181,7 @@ class Factor:
     def identity(self):
         if self.kind == "SU":
             return ExactMatrix.identity(self.n)
-        if self.kind == "Sp1":
-            return Quat.one()
-        return ExactMatrix.identity(3)
+        return Quat.one()
 
     def validate(self, part) -> None:
         if self.kind == "Sp1":
@@ -210,36 +192,24 @@ class Factor:
             return
         if not isinstance(part, ExactMatrix):
             raise GroupError("%s component must be a matrix" % self.describe())
-        if self.kind == "SU":
-            if part.rows != self.n or part.cols != self.n:
-                raise GroupError("SU(%d) component has wrong shape" % self.n)
-            if not part.is_unitary():
-                raise GroupError("SU(%d) component is not unitary" % self.n)
-            if part.det() != ONE:
-                raise GroupError("SU(%d) component has determinant != 1" % self.n)
-            return
-        if part.rows != 3 or part.cols != 3:
-            raise GroupError("SO(3) component has wrong shape")
-        if not part.is_real():
-            raise GroupError("SO(3) component has non-real entries")
-        if not part.is_orthogonal():
-            raise GroupError("SO(3) component is not orthogonal")
+        if part.rows != self.n or part.cols != self.n:
+            raise GroupError("SU(%d) component has wrong shape" % self.n)
+        if not part.is_unitary():
+            raise GroupError("SU(%d) component is not unitary" % self.n)
         if part.det() != ONE:
-            raise GroupError("SO(3) component has determinant != 1")
+            raise GroupError("SU(%d) component has determinant != 1" % self.n)
 
     def center_parts(self) -> tuple:
         """All central elements of this factor (they are finitely many)."""
         if self.kind == "SU":
             z = cyc_zeta(self.n)
             return tuple(ExactMatrix.identity(self.n).scaled(z ** k) for k in range(self.n))
-        if self.kind == "Sp1":
-            return (Quat.one(), -Quat.one())
-        return (ExactMatrix.identity(3),)
+        return (Quat.one(), -Quat.one())
 
     def describe(self) -> str:
         if self.kind == "SU":
             return "SU(%d)" % self.n
-        return "Sp(1)" if self.kind == "Sp1" else "SO(3)"
+        return "Sp(1)"
 
     def __repr__(self):
         return "Factor(%s)" % self.describe()
@@ -251,10 +221,6 @@ def su_factor(n: int) -> Factor:
 
 def sp1_factor() -> Factor:
     return Factor("Sp1")
-
-
-def so3_factor() -> Factor:
-    return Factor("SO3")
 
 
 # --- ambient elements ---------------------------------------------------------
@@ -294,7 +260,7 @@ def _memo_mul(a, b):
 
 
 def _memo_inv(part):
-    """Canonical inverse of a unit quaternion, unitary or rotation matrix."""
+    """Canonical inverse of a unit quaternion or a unitary matrix."""
     got = _INV_CACHE.get(part)
     if got is None:
         if len(_INV_CACHE) >= _MUL_CACHE_LIMIT:
@@ -365,8 +331,7 @@ class GroupSpec:
 
     ``center_gens`` is a list of part tuples generating the subgroup Z to
     quotient by; each generator must be central in the ambient product (scalar
-    in SU factors, +-1 in Sp(1) factors, identity in SO(3) factors).  The full
-    subgroup is enumerated at construction.
+    in SU factors, +-1 in Sp(1) factors).  Z is enumerated at construction.
     """
 
     def __init__(self, factors, center_gens=()):

@@ -1,9 +1,10 @@
 """Decide element-conjugacy and global conjugacy for pairs of homomorphisms.
 
 Setting: two homomorphisms f, f' from a finite group into G = Ghat/Z, where
-Ghat is a product of SU(n), Sp(1), SO(3) factors and Z is a finite central
-subgroup.  Element-conjugacy is a per-element check against the conjtest
-oracles.  Global conjugacy is decided by the central-twist procedure:
+Ghat is a product of SU(n) and Sp(1) factors and Z is a finite central
+subgroup; SO(3) is ``GroupSpec((sp1_factor(),), center_gens=((-Quat.one(),),))``.
+Element-conjugacy is a per-element check against the conjtest oracles.
+Global conjugacy is decided by the central-twist procedure:
 
 1. Fix ambient lifts a(x), b(x) of f(x), f'(x) (canonical coset reps unless
    overridden).  Their discrepancies a(x)a(y) = c(x,y) a(xy) and
@@ -22,7 +23,7 @@ oracles.  Global conjugacy is decided by the central-twist procedure:
    exact character comparison over all of P.
 3. Any surviving twist certifies global conjugacy (characters determine
    conjugacy factorwise for these factor kinds, and intertwiners can be
-   adjusted into SU(n) / Sp(1) / SO(3)); exhausting all seeds certifies
+   adjusted into SU(n) / Sp(1)); exhausting all seeds certifies
    non-conjugacy, because an actual conjugator would induce a valid twist.
 
 Everything below runs on small integer tables once the edge discrepancies
@@ -311,8 +312,6 @@ def _ambient_lift_hom(h: Hom, g: GroupSpec) -> Hom:
 
 def _check_diagonal_domain(g: GroupSpec, images) -> None:
     for pos, f in enumerate(g.factors):
-        if f.kind == "SO3":
-            raise OracleDomainError("oracle does not handle SO(3) factors")
         for x in images:
             part = x.parts[pos]
             if f.kind == "SU":
@@ -348,10 +347,10 @@ def abelian_weight_oracle(pair: HomPair) -> bool:
     """Independent global-conjugacy decision for abelian diagonal-image pairs.
 
     Requires: abelian source; SU factors with diagonal ambient lifts and Sp(1)
-    factors with lifts on the circle through i; no SO(3) factors.  Decides by
-    direct weight bookkeeping: some central twist must match each SU factor's
-    multiset of diagonal weight characters (columns can be permuted by a
-    conjugator) and each Sp(1) factor's circle character up to inversion.
+    factors with lifts on the circle through i.  Decides by direct weight
+    bookkeeping: some central twist must match each SU factor's multiset of
+    diagonal weight characters (columns can be permuted by a conjugator) and
+    each Sp(1) factor's circle character up to inversion.
     """
     src = pair.src
     g = pair.target

@@ -20,8 +20,9 @@ iff u x v = 0, or a = 0 and u.v = 0 (proof in so3_centralizer).
 Centralizers of rotation families are finite only when the family pins down
 every axis.  The degenerate cases return a typed InfiniteCentralizer value
 instead of raising: "the test does not apply here" is an answer, not a
-failure of the machinery.  A generator of infinite order is refused before
-any closure (rotation_group_from_quats).
+failure of the machinery.  A generator of infinite order, or a slot whose
+rotations generate an infinite group, is refused before the closure in
+SO(3)^3 (rotation_group_from_quats).
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 
-from .exactalg import ZERO, sqrt_rational
+from .exactalg import CONDUCTOR_CAP, ZERO, sqrt_rational
 from .fingrp import (
+    ClosureCapError,
     CosetElement,
     FinGroup,
     GroupStructureError,
     Hom,
     closure,
+    default_closure_cap,
     hom_set_to_elem_abelian_2,
     identity_hom,
     quotient_by_central,
@@ -162,7 +165,7 @@ _ROTATION_SPACE = None
 def _rotation_space() -> GroupSpec:
     """SO(3)^3 as Sp(1)^3 modulo all eight sign triples, built on first use.
 
-    The adjoint map q -> adjoint_to_so3(q) is onto SO(3) with kernel {+-1},
+    The adjoint map q -> (x -> q x q^-1) is onto SO(3) with kernel {+-1},
     so Sp(1)^3 / {+-1}^3 is SO(3)^3.  Its elements are fingrp.CosetElements
     held by their least quaternion lift: two are equal iff their rotation
     triples are, and they commute iff their rotations commute.  Cosets
@@ -185,7 +188,7 @@ def rotation_triple(quats) -> CosetElement:
     GroupSpec.element refuses a count other than three, and Factor.validate
     anything that is not a unit quaternion.  Any lift of a coset serves
     wherever one is needed: ``x.rep`` is the least one, ``x.rep.parts`` its
-    quaternions, and ``adjoint_to_so3`` of a part is the slot's rotation.
+    quaternions, and the adjoint action of a part is the slot's rotation.
     """
     return _rotation_space().wrap_parts(quats)
 
@@ -212,11 +215,30 @@ def _has_finite_order(q: Quat) -> bool:
     return power.is_identity()
 
 
+# A finite rotation group here has at most 960 elements; the proof is in
+# rotation_group_from_quats.
+_SLOT_ORDER_BOUND = max(4 * CONDUCTOR_CAP, 60)
+
+
 def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
     """Closure in SO(3)^3 of the rotations of the given quaternion triples.
 
-    A unit quaternion of infinite order would make the closure run until
-    its cap, so every slot is tested first and refused with GroupError.
+    An infinite group would make the closure run until its cap, so two
+    checks come first, each refusing with GroupError.  Every unit
+    quaternion must have finite order (_has_finite_order).  Then each slot's
+    rotations are closed alone in SO(3) = Sp(1)/{+-1}, with cap
+    min(cap, _SLOT_ORDER_BOUND), and a slot group past the bound is infinite:
+
+    Every element of a slot group is a product of the slot's generators, so
+    its lift q has a real part of conductor n <= CONDUCTOR_CAP (exact
+    arithmetic refuses larger ones).  If the group is finite, q has finite
+    order M, and n is M or M/2 unless M <= 6 (_has_finite_order), so the
+    rotation's order, M or M/2, is at most 2 CONDUCTOR_CAP.  A finite
+    subgroup of SO(3) is cyclic (of order at most 2 CONDUCTOR_CAP here),
+    dihedral (at most 4 CONDUCTOR_CAP) or of order 12, 24 or 60, so it has
+    at most _SLOT_ORDER_BOUND elements.  A slot group is a projection of the
+    group in SO(3)^3, so when the cap is the smaller bound, the slot
+    closure's ClosureCapError is the one the full closure would raise.
     """
     gens = [rotation_triple(t) for t in triples]
     for pos, t in enumerate(gens):
@@ -224,6 +246,17 @@ def rotation_group_from_quats(triples, cap: int | None = None) -> FinGroup:
             if not _has_finite_order(q):
                 raise GroupError("generators[%d], slot %d of 1-3, has infinite order"
                                  % (pos, slot + 1))
+    limit = default_closure_cap() if cap is None else cap
+    so3 = GroupSpec((sp1_factor(),), center_gens=((-Quat.one(),),))
+    for slot in range(3):
+        try:
+            closure([so3.wrap_parts((t.rep.parts[slot],), validate=False) for t in gens],
+                    cap=min(limit, _SLOT_ORDER_BOUND))
+        except ClosureCapError:
+            if limit <= _SLOT_ORDER_BOUND:
+                raise
+            raise GroupError("the rotations in slot %d of 1-3 generate an infinite "
+                             "group (over %d elements)" % (slot + 1, _SLOT_ORDER_BOUND))
     return closure(gens, cap=cap)
 
 

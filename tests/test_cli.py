@@ -242,42 +242,68 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv, files", [
-    (("scan-scf", "o-odd", "10000"), {}),
+_ENV_CASES = [(argv, {}, {"ACCEPTCERT_MAX_CLOSURE": value}, "ACCEPTCERT_MAX_CLOSURE")
+              for value in ("abc", "1e3", "0")
+              for argv in (("list",), ("verify",), ("scan-scf", "o-odd", "1"))]
+
+
+@pytest.mark.parametrize("argv, files, env, needle", [
+    (("scan-scf", "o-odd", "10000"), {}, {}, ""),
     (("verify", "scf_o_odd", "--params", "{grid}"),
-     {"grid": {"scf_o_odd": [{"n": 10000}]}}),
-    (("scan-scf", "o-odd", "1", "--denominators", "1000000000000"), {}),
+     {"grid": {"scf_o_odd": [{"n": 10000}]}}, {}, ""),
+    (("scan-scf", "o-odd", "1", "--denominators", "1000000000000"), {}, {}, ""),
     (("verify", "scf_so_odd", "--params", "{grid}"),
-     {"grid": {"scf_so_odd": [{"n": 1, "denominators": [10 ** 12]}]}}),
+     {"grid": {"scf_so_odd": [{"n": 1, "denominators": [10 ** 12]}]}}, {}, ""),
     (("verify", "psu_odd_prime", "--params", "{grid}"),
-     {"grid": {"psu_odd_prime": [{"p": 2 ** 61 - 1}]}}),
+     {"grid": {"psu_odd_prime": [{"p": 2 ** 61 - 1}]}}, {}, ""),
     (("verify", "--params", "{grid}"),
-     {"grid": '{"sp1_diag": [{"m": %s, "eps": 1}]}' % ("9" * 5000,)}),
+     {"grid": '{"sp1_diag": [{"m": %s, "eps": 1}]}' % ("9" * 5000,)}, {}, ""),
     (("crit3a1", "--generators", "{gens}"),
-     {"gens": {"generators": [[["9" * 5000, "0", "0", "0"]] * 3]}}),
-    (("verify", "sanity_acceptable", "--max-closure", "1"), {}),
+     {"gens": {"generators": [[["9" * 5000, "0", "0", "0"]] * 3]}}, {}, ""),
+    (("verify", "sanity_acceptable", "--max-closure", "1"), {}, {}, ""),
     (("crit3a1", "--generators", "{gens}"),
-     {"gens": {"generators": [[["1*sqrt(2305843009213693951)", "0", "0", "0"]] * 3]}}),
+     {"gens": {"generators": [[["1*sqrt(2305843009213693951)", "0", "0", "0"]] * 3]}},
+     {}, ""),
     (("crit3a1", "--generators", "{gens}"),
-     {"gens": {"generators": [[["3/5", "4/5", "0", "0"]] * 3]}}),
-], ids=["scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
-        "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
-        "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand",
-        "generators_infinite_order"])
-def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files):
+     {"gens": {"generators": [[["3/5", "4/5", "0", "0"]] * 3]}}, {}, ""),
+    # i and (3/5)i + (4/5)j have finite order, but generate an infinite group
+    (("crit3a1", "--generators", "{gens}"),
+     {"gens": {"generators": [[["0", "1", "0", "0"]] * 3,
+                              [["0", "3/5", "4/5", "0"], ["0", "1", "0", "0"],
+                               ["0", "1", "0", "0"]]]}},
+     {}, "slot 1"),
+    (("verify", "sanity_acceptable", "--params", "{grid}"),
+     {"grid": {"sanity_acceptable": [{"group": "su4", "count": 10 ** 6, "seed": 1}]}},
+     {}, "'count' must be an integer from 1 to 1000"),
+    # refused before crit_3a1 runs, which would stop at the cap of 2
+    (("verify", "crit_3a1", "sanity_acceptable", "--max-closure", "2",
+      "--params", "{grid}"),
+     {"grid": {"sanity_acceptable": [{"group": "bogus", "count": 1, "seed": 1}]}},
+     {}, "'group' must be 'su4' or 'sp1_cubed'"),
+] + _ENV_CASES, ids=[
+    "scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
+    "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
+    "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand",
+    "generators_infinite_order", "generators_infinite_slot_group", "sanity_huge_count",
+    "sanity_bogus_group",
+] + ["env_%s_%s" % (env["ACCEPTCERT_MAX_CLOSURE"], argv[0]) for argv, _, env, _ in _ENV_CASES])
+def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files, env,
+                                                          needle):
     paths = {}
     for name, content in files.items():
         path = tmp_path / ("%s.json" % (name,))
         path.write_text(content if isinstance(content, str) else json.dumps(content))
         paths[name] = str(path)
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("ACCEPTCERT_MAX_CLOSURE", None)
+    proc_env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc_env.pop("ACCEPTCERT_MAX_CLOSURE", None)
+    proc_env.update(env)
     proc = subprocess.run(
         [sys.executable, "-m", "acceptcert"] + [a.format(**paths) for a in argv],
-        env=env, capture_output=True, text=True, timeout=30,
+        env=proc_env, capture_output=True, text=True, timeout=30,
         preexec_fn=limit_memory)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert needle in proc.stderr
     assert not proc.stdout
 
 

@@ -19,13 +19,27 @@ from acceptcert.grpcore import (
     QUAT_J,
     QUAT_K,
     Quat,
-    adjoint_to_so3,
-    so3_factor,
     sp1_factor,
     su_factor,
 )
 
 MINUS_I4 = ExactMatrix.identity(4).scaled(cyc_rational(-1))
+
+
+def adjoint_to_so3(q):
+    """Rotation matrix of v -> q v q^-1 on the span of i, j, k (unit q).
+
+    The 3x3 reference for SO(3) = Sp(1)/{+-1}; the package reads rotations
+    from quaternion lifts only.  Columns are the images of i, j, k.
+    """
+    a, b, c, d = q.a, q.b, q.c, q.d
+    two = cyc_rational(2)
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    return ExactMatrix.make([
+        [aa + bb - cc - dd, two * (b * c - a * d), two * (b * d + a * c)],
+        [two * (b * c + a * d), aa - bb + cc - dd, two * (c * d - a * b)],
+        [two * (b * d - a * c), two * (c * d + a * b), aa - bb - cc + dd],
+    ])
 
 
 def unit_quat_pool():
@@ -92,7 +106,6 @@ def test_factor_validation():
     sp1_factor().validate(QUAT_I)
     with pytest.raises(GroupError):
         sp1_factor().validate(Quat.make(ONE, ONE, ZERO, ZERO))
-    so3_factor().validate(adjoint_to_so3(QUAT_J))
 
 
 def test_central_generators_must_be_central():
@@ -232,15 +245,19 @@ def test_ambient_element_algebra():
 
 
 def test_mixed_factor_group():
-    g = GroupSpec((su_factor(2), sp1_factor(), so3_factor()))
-    el = g.wrap_parts((
-        ExactMatrix.diagonal([cyc_i(), -cyc_i()]),
-        QUAT_J,
-        adjoint_to_so3(QUAT_I),
-    ))
+    # SU(2) x Sp(1) x SO(3), the SO(3) slot an Sp(1) factor with its -1 in Z
+    one = Quat.one()
+    g = GroupSpec((su_factor(2), sp1_factor(), sp1_factor()),
+                  center_gens=((ExactMatrix.identity(2), one, -one),))
+    assert len(g.z_subgroup) == 2
+    m = ExactMatrix.diagonal([cyc_i(), -cyc_i()])
+    el = g.wrap_parts((m, QUAT_J, QUAT_I))
+    assert el == g.wrap_parts((m, QUAT_J, -QUAT_I))
+    assert el != g.wrap_parts((m, -QUAT_J, QUAT_I))
     sq = el * el
-    assert not el.is_identity()
+    assert not el.is_identity() and not sq.is_identity()
     assert (sq * sq).is_identity()
+    assert g.describe() == "(SU(2) x Sp(1) x Sp(1)) / Z with |Z| = 2"
 
 
 # --- hash-consed parts -------------------------------------------------------------

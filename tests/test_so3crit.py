@@ -7,8 +7,9 @@ with exactly one liftable, mod-squares quotient of order 16 against a
 character group of order 16.
 
 so3crit reads rotations from their quaternion lifts; the matrix path it
-replaced (axes by nullspace, half-turn matrices closed in SO(3)) stays here
-as the reference that so3_centralizer is checked against.
+replaced (the 3x3 rotation matrix rot of a lift, axes by nullspace,
+half-turn matrices closed in SO(3)) stays here as the reference that
+so3_centralizer and elements_conjugate are checked against.
 """
 
 import itertools
@@ -27,15 +28,16 @@ from acceptcert.exactalg import (
     nullspace,
     sqrt_rational,
 )
+from acceptcert.conjtest import elements_conjugate
 from acceptcert.grpcore import (
+    AmbientElement,
     GroupError,
     GroupSpec,
     QUAT_I,
     QUAT_J,
     QUAT_K,
     Quat,
-    adjoint_to_so3,
-    so3_factor,
+    sp1_factor,
 )
 from acceptcert.homcheck import (
     GloballyConjugate,
@@ -43,7 +45,7 @@ from acceptcert.homcheck import (
     decide_global,
     is_element_conjugate,
 )
-from acceptcert.fingrp import GroupStructureError, closure
+from acceptcert.fingrp import ClosureCapError, GroupStructureError, closure
 from acceptcert.certsuite import criterion_generator_quats, eta_quat
 from acceptcert.so3crit import (
     InfiniteCentralizer,
@@ -59,7 +61,15 @@ from acceptcert.so3crit import (
 
 
 def rot(q):
-    return adjoint_to_so3(q)
+    """Rotation matrix of v -> q v q^-1 on the span of i, j, k (unit q)."""
+    a, b, c, d = q.a, q.b, q.c, q.d
+    two = cyc_rational(2)
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    return ExactMatrix.make([
+        [aa + bb - cc - dd, two * (b * c - a * d), two * (b * d + a * c)],
+        [two * (b * c + a * d), aa - bb + cc - dd, two * (c * d - a * b)],
+        [two * (b * d - a * c), two * (c * d + a * b), aa - bb - cc + dd],
+    ])
 
 
 # --- reference: rotation data from 3x3 matrices -----------------------------------
@@ -167,6 +177,19 @@ def test_quaternion_centralizer_matches_the_matrix_path():
         assert set(rotations) == set(reference.elements)
 
 
+def test_rotation_conjugacy_matches_equal_traces():
+    # SO(3) is Sp(1) with its -1 in Z; rotations are conjugate iff traces agree
+    so3 = GroupSpec((sp1_factor(),), center_gens=((-Quat.one(),),))
+    quats = octahedral_lifts()
+    elems = [so3.wrap_parts((q,)) for q in quats]
+    traces = [rot(q).trace() for q in quats]
+    assert len(set(elems)) == 24
+    assert len(set(traces)) == 4  # turns by 0, 1/4, 1/3 and 1/2
+    for x, tx in zip(elems, traces):
+        for y, ty in zip(elems, traces):
+            assert elements_conjugate(so3, x, y) == (tx == ty)
+
+
 def test_so3_centralizer_of_a_klein_four():
     assert set(so3_centralizer([QUAT_I, QUAT_J])) == {QUAT_I, QUAT_J, QUAT_K}
 
@@ -197,6 +220,13 @@ def test_rotation_group_refuses_a_generator_of_infinite_order():
     endless = Quat.make(cyc_rational(3) / 5, cyc_rational(4) / 5, ZERO, ZERO)
     with pytest.raises(GroupError, match=r"generators\[1\], slot 2 of 1-3, has infinite order"):
         rotation_group_from_quats([(QUAT_I, QUAT_J, QUAT_K), (QUAT_I, endless, QUAT_K)])
+    # two half-turns whose product has infinite order: the slot group is refused
+    tilted = Quat.make(ZERO, cyc_rational(3) / 5, cyc_rational(4) / 5, ZERO)
+    slot_one = [(QUAT_I, QUAT_I, QUAT_I), (tilted, QUAT_I, QUAT_I)]
+    with pytest.raises(GroupError, match="slot 1 of 1-3 generate an infinite group"):
+        rotation_group_from_quats(slot_one)
+    with pytest.raises(ClosureCapError):  # a cap under the bound reports itself
+        rotation_group_from_quats(slot_one, cap=500)
 
 
 def test_standard_group_shape():
@@ -288,9 +318,8 @@ def test_rotation_triples_are_identified_by_their_rotations(name):
         # every other lift of the same rotations is the same element
         first, second, third = x.rep.parts
         assert rotation_triple((-first, second, -third)) == x
-    # independent path: close the rotation matrices themselves in SO(3)^3
-    so3_cubed = GroupSpec((so3_factor(),) * 3)
-    reference = closure([so3_cubed.element(tuple(rot(q) for q in t)) for t in gens])
+    # independent path: close the triples of rotation matrices themselves
+    reference = closure([AmbientElement(tuple(rot(q) for q in t)) for t in gens])
     assert len(set(rots)) == gbar.order == reference.order
     assert set(rots) == {x.parts for x in reference}
 
