@@ -10,16 +10,16 @@ checks against, evaluated on the run's angles.  A failing run means either a
 bug or a genuinely different answer, and the result records which
 sub-verdict disagreed.
 
-Every certificate declares its parameters and their JSON types (the sanity
-batches also their ranges); a run whose parameters miss a key, add an
-unknown one or give a value of the wrong type raises CertParamError before
-any computation starts.
+Every certificate declares its parameters and the values each accepts, and
+``Certificate.check_params`` alone decides them: a run whose parameters miss
+a key, add an unknown one or give a value outside its kind raises
+CertParamError before any computation starts.
 
 The registry is built once, at import.  Each certificate carries the runner
 that computes it, so ``run`` (one certificate) and ``run_all`` (a list of
 certificates over their grids, the only grid loop) are the one path from
-input to verdict for the library and the CLI alike.  ``scan`` is the one
-input check in front of the angle scans, for ``verify`` and ``scan-scf``.
+input to verdict for the library and the CLI alike.  ``scan-scf`` checks
+its input with the scan certificate's ``check_params``.
 
 Builders are deterministic in their parameters, including the randomized
 sanity batches (fixed seeds).  ``run_all`` produces results in a fixed
@@ -31,12 +31,13 @@ from __future__ import annotations
 import random
 import time
 from fnmatch import fnmatchcase
+from math import isqrt, lcm
 
 from .exactalg import (
+    CONDUCTOR_CAP,
     ExactMatrix,
     ONE,
     ZERO,
-    check_conductor,
     cyc_half,
     cyc_i,
     cyc_rational,
@@ -73,29 +74,62 @@ class CertParamError(Exception):
     """Bad certificate id or parameters."""
 
 
-# About 2 ms per pair on a 2-vCPU host, so a full batch stays near 2 s.
+# A run at each maximum takes 1-2 s on a 2-vCPU host; a scan at n = 4 takes
+# about 14 s for one denominator, and at n = 5 one did not end in 100 s.
 SANITY_MAX_COUNT = 1000
+SP1_MAX_FACTORS = 1000
+D4_MAX_COPIES = 100
+SCAN_MAX_N = 4
 
 _INT = "an integer"
-_INT_LIST = "a list of integers"
+_SIGN = "1 or -1"
+_SP1_FACTORS = "an integer from 3 to %d" % (SP1_MAX_FACTORS,)
+_ODD_PRIME = "an odd prime at most %d" % (CONDUCTOR_CAP,)
+_D4_COPIES = "an integer from 1 to %d" % (D4_MAX_COPIES,)
+_SCAN_N = "an integer from 1 to %d" % (SCAN_MAX_N,)
+_DENOMINATORS = ("a non-empty list of integers m >= 1 with lcm(m, 4) at most %d"
+                 % (CONDUCTOR_CAP,))
 _SANITY_GROUP = "'su4' or 'sp1_cubed'"
 _SANITY_COUNT = "an integer from 1 to %d" % (SANITY_MAX_COUNT,)
 
+
+def _int_from(lo: int, hi: int):
+    return lambda v: type(v) is int and lo <= v <= hi
+
+
+def _is_odd_prime(p) -> bool:
+    # the cap first: trial division of a huge p would not finish
+    if type(p) is not int or not 3 <= p <= CONDUCTOR_CAP or p % 2 == 0:
+        return False
+    return all(p % d for d in range(3, isqrt(p) + 1, 2))
+
+
+def _is_denominator(m) -> bool:
+    """An angle denominator whose conductor lcm(m, 4) stays under the cap."""
+    return type(m) is int and m >= 1 and lcm(m, 4) <= CONDUCTOR_CAP
+
+
 _TYPE_CHECKS = {
     _INT: lambda v: type(v) is int,
-    _INT_LIST: lambda v: (isinstance(v, (list, tuple))
-                          and all(type(x) is int for x in v)),
+    _SIGN: lambda v: type(v) is int and v in (1, -1),
+    _SP1_FACTORS: _int_from(3, SP1_MAX_FACTORS),
+    _ODD_PRIME: _is_odd_prime,
+    _D4_COPIES: _int_from(1, D4_MAX_COPIES),
+    _SCAN_N: _int_from(1, SCAN_MAX_N),
+    _DENOMINATORS: lambda v: (isinstance(v, (list, tuple)) and len(v) > 0
+                              and all(_is_denominator(m) for m in v)),
     _SANITY_GROUP: lambda v: v in ("su4", "sp1_cubed"),
-    _SANITY_COUNT: lambda v: type(v) is int and 1 <= v <= SANITY_MAX_COUNT,
+    _SANITY_COUNT: _int_from(1, SANITY_MAX_COUNT),
 }
 
 
 class Certificate:
     """One named computation with a parameter schema, a claim, and expected outcomes.
 
-    ``params`` maps every required parameter to its type, ``optional`` every
-    parameter a run may leave out.  ``expected`` is a dict of expected
-    verdicts, or a function from the run's parameters to one.  ``runner``
+    ``params`` maps every required parameter to its kind (a ``_TYPE_CHECKS``
+    key), ``optional`` every parameter a run may leave out.  ``expected`` is
+    a dict of expected verdicts, or a function from the run's parameters to
+    one.  ``runner``
     computes a run: ``runner(cert, params, cap) -> (verdicts, counts)``.
     Hom-pair certificates also carry ``build(params) -> (group, pair)``.
     ``kind`` is reported data only; nothing dispatches on it.
@@ -207,10 +241,6 @@ def criterion_generator_quats() -> tuple:
 def _build_sp1_diag(params):
     m = params["m"]
     eps = params["eps"]
-    if m < 3:
-        raise CertParamError("sp1_diag needs an integer m >= 3")
-    if eps not in (1, -1):
-        raise CertParamError("sp1_diag needs eps in {1, -1}")
     one = Quat.one()
     i = QUAT_I
     mi = -i
@@ -228,22 +258,8 @@ def _build_sp1_diag(params):
     return g, HomPair(f, fp)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _build_psu_odd_prime(params):
     p = params["p"]
-    check_conductor(p)  # first: trial division of a huge p would not finish
-    if not _is_odd_prime(p):
-        raise CertParamError("psu_odd_prime needs an odd prime p")
     w = cyc_zeta(p)
     shift = ExactMatrix.make(
         [[ONE if j == (i + 1) % p else ZERO for j in range(p)] for i in range(p)])
@@ -260,8 +276,6 @@ def _build_psu_odd_prime(params):
 
 def _build_su4_power_d4(params):
     k = params["k"]
-    if k < 1:
-        raise CertParamError("su4_power_d4 needs an integer k >= 1")
     g = _su4_mod_center_group(k)
     src = formal_group(FormalGroupSpec.cyclic_product(4, 4))
     a, b = _su4_witness_images()
@@ -327,13 +341,10 @@ def _unit_quat_pool() -> tuple:
     return tuple(out)
 
 
-def _run_sanity(cert: Certificate, params, cap):
-    group_name = params["group"]
-    count = params["count"]
-    seed = params["seed"]
+def _sanity_pairs(group_name: str, count: int, seed: int):
+    """The batch's pairs (f, conj f conj^-1), drawn lazily from one seeded stream."""
     rng = random.Random(seed)
     pool = _unit_quat_pool()
-    all_ok = True
     for _ in range(count):
         if group_name == "su4":
             g = GroupSpec((su_factor(4),))
@@ -354,10 +365,13 @@ def _run_sanity(cert: Certificate, params, cap):
         fp = hom_from_gens(
             src, src.gen_indices,
             tuple((conj * im) * inv for im in ims), target=g)
-        verdict = decide_global(HomPair(f, fp), cap=cap)
-        if not isinstance(verdict, GloballyConjugate):
-            all_ok = False
-            break
+        yield HomPair(f, fp)
+
+
+def _run_sanity(cert: Certificate, params, cap):
+    count = params["count"]
+    all_ok = all(isinstance(decide_global(pair, cap=cap), GloballyConjugate)
+                 for pair in _sanity_pairs(params["group"], count, params["seed"]))
     return {"all_globally_conjugate": all_ok, "trials": count}, {"trials": count}
 
 
@@ -431,28 +445,12 @@ def _run_criterion(cert: Certificate, params, cap):
 SCAN_DENOMINATORS = (4, 6, 8)
 
 
-def scan(kind: str, n: int, denominators, cap: int | None = None) -> list:
-    """``scan_angles`` behind the input checks that every scan goes through.
-
-    Raises CertParamError unless n >= 1 and the denominators are a non-empty
-    list of positive integers; ``scan_angles`` then refuses a scan over the
-    closure cap or a denominator over the conductor cap before any angle is
-    decided.
-    """
-    if n < 1:
-        raise CertParamError("scan needs an integer n >= 1")
-    if not denominators or any(m < 1 for m in denominators):
-        raise CertParamError("scan denominators must be a non-empty list of "
-                             "positive integers")
-    return scan_angles(kind, n, denominators, cap=cap)
-
-
 _SCAN_KINDS = {"scf_o_odd": KIND_O_ODD, "scf_so_odd": KIND_SO_ODD}
 
 
 def _run_scan(cert: Certificate, params, cap):
-    rows = scan(_SCAN_KINDS[cert.id], params["n"],
-                params.get("denominators", SCAN_DENOMINATORS), cap=cap)
+    rows = scan_angles(_SCAN_KINDS[cert.id], params["n"],
+                       params.get("denominators", SCAN_DENOMINATORS), cap=cap)
     failing = [[v.angle.k, v.angle.m] for v in rows if v.outcome == "fails"]
     undecided = sum(1 for v in rows if v.outcome == "undecided")
     verdicts = {"failing": failing, "undecided": undecided}
@@ -483,9 +481,9 @@ _EC_NOT_GC = {"element_conjugate": True, "globally_conjugate": False}
 _EC_NOT_GC_ORACLE = {"element_conjugate": True, "globally_conjugate": False,
                      "oracle_agrees": True}
 
-_SP1_PARAMS = {"m": _INT, "eps": _INT}
-_SCAN_PARAMS = {"n": _INT}
-_SCAN_OPTIONAL = {"denominators": _INT_LIST}
+_SP1_PARAMS = {"m": _SP1_FACTORS, "eps": _SIGN}
+_SCAN_PARAMS = {"n": _SCAN_N}
+_SCAN_OPTIONAL = {"denominators": _DENOMINATORS}
 
 _REGISTRY = (
     Certificate(
@@ -525,7 +523,7 @@ _REGISTRY = (
                "but not globally conjugate."),
         param_grid=({"p": 3}, {"p": 5}),
         expected=_EC_NOT_GC,
-        params={"p": _INT},
+        params={"p": _ODD_PRIME},
     ),
     Certificate(
         id="su4_power_d4",
@@ -534,7 +532,7 @@ _REGISTRY = (
                "the diagonal sign center keeps the same split verdict."),
         param_grid=({"k": 1}, {"k": 2}),
         expected=_EC_NOT_GC,
-        params={"k": _INT},
+        params={"k": _D4_COPIES},
     ),
     Certificate(
         id="crit_3a1",
@@ -626,14 +624,17 @@ def run_all(filter_pattern: str = "", cap: int | None = None,
     ``cert_ids`` lists the certificates to run, in that order (default: the
     whole registry); ``filter_pattern`` is a glob that further selects ids.
     ``grid_overrides`` maps certificate id to a replacement list of parameter
-    dicts (the CLI loads it from a JSON file).  Every id and every override
-    parameter set is checked before anything runs.  Each run goes through
-    the module's ``run``.
+    dicts (the CLI loads it from a JSON file); an empty list is refused.
+    Every id and every override parameter set is checked before anything
+    runs.  Each run goes through the module's ``run``.
     """
     certs = _REGISTRY if cert_ids is None else [certificate(i) for i in cert_ids]
     overrides = grid_overrides or {}
     for cert_id, grid in overrides.items():
         cert = certificate(cert_id)
+        if not isinstance(grid, (list, tuple)) or not grid:
+            raise CertParamError("parameters for %s must be a non-empty list of objects"
+                                 % (cert.id,))
         for params in grid:
             cert.check_params(params)
     out = []

@@ -7,9 +7,9 @@ closed-form classification, and ``crit3a1`` runs the rotation criterion on
 pinned or user-supplied generators and cross-verifies the witness pair.
 
 The subcommands only parse and report: ``verify`` hands its ids, filter and
-parameter file to ``certsuite.run_all``, and ``scan-scf`` its family, n and
-denominators to ``certsuite.scan``, which check every input before anything
-runs.
+parameter file to ``certsuite.run_all``, which checks every input before
+anything runs, and ``scan-scf`` checks its n and denominators with the scan
+certificate's ``check_params``, so both refuse a bad value with one message.
 
 Exit codes: 0 on success, 1 when a computation finished but a verdict
 disagreed with the expected outcome, 2 on unknown ids or malformed input
@@ -26,20 +26,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
 from fractions import Fraction
 
-from .certsuite import CertParamError, registry, run_all, run_criterion, scan
+from .certsuite import CertParamError, certificate, registry, run_all, run_criterion
 from .exactalg import ExactAlgError, cyc_rational, sqrt_rational
-from .fingrp import ClosureCapError, GroupStructureError, NotAHomomorphismError
+from .fingrp import (
+    ClosureCapError,
+    GroupStructureError,
+    NotAHomomorphismError,
+    default_closure_cap,
+)
 from .grpcore import GroupError, Quat
-from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome
+from .scfcheck import KIND_O_ODD, KIND_SO_ODD, closed_form_outcome, scan_angles
 from .so3crit import InfiniteCentralizer
 
-_FAMILY_BY_NAME = {"o-odd": KIND_O_ODD, "so-odd": KIND_SO_ODD}
+_FAMILY_BY_NAME = {"o-odd": ("scf_o_odd", KIND_O_ODD), "so-odd": ("scf_so_odd", KIND_SO_ODD)}
 
 _COORD_RE = re.compile(
     r"^\s*(?P<rat>-?\d+(?:\s*/\s*\d+)?)\s*(?:\*\s*sqrt\(\s*(?P<rad>\d+)\s*\))?\s*$")
@@ -98,15 +102,11 @@ def _load_generator_quats(path):
 
 
 def _load_grid_overrides(path):
-    """The parameter file's grids; ``run_all`` checks their ids and parameters."""
+    """The parameter file's grids; ``run_all`` checks their ids and contents."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise CertParamError("parameter file must map certificate ids to "
                              "lists of parameter objects")
-    for cert_id, grid in data.items():
-        if not isinstance(grid, list):
-            raise CertParamError("parameters for %r must be a list of objects"
-                                 % (cert_id,))
     return data
 
 
@@ -121,20 +121,6 @@ def _emit(args, payload, lines) -> None:
         print("wrote %s" % (args.out,))
     else:
         sys.stdout.write(content)
-
-
-def _check_cap(args) -> None:
-    """Refuse a closure cap below 1 from the flag or from the environment."""
-    if args.max_closure is not None and args.max_closure < 1:
-        raise CertParamError("--max-closure must be a positive integer")
-    env = os.environ.get("ACCEPTCERT_MAX_CLOSURE")
-    if env is not None:
-        try:
-            positive = int(env) >= 1  # the parse of fingrp.default_closure_cap
-        except ValueError:
-            positive = False
-        if not positive:
-            raise CertParamError("ACCEPTCERT_MAX_CLOSURE must be a positive integer")
 
 
 # --- subcommands ---------------------------------------------------------------------
@@ -202,9 +188,10 @@ def _cmd_scan_scf(args) -> int:
         denominators = [int(part) for part in args.denominators.split(",")]
     except ValueError:
         raise CertParamError("--denominators must be comma-separated integers")
-    kind = _FAMILY_BY_NAME[args.family]
+    cert_id, kind = _FAMILY_BY_NAME[args.family]
+    certificate(cert_id).check_params({"n": args.n, "denominators": denominators})
     start = time.perf_counter()
-    rows = scan(kind, args.n, denominators, cap=args.max_closure)
+    rows = scan_angles(kind, args.n, denominators, cap=args.max_closure)
     seconds = time.perf_counter() - start
     mismatches = []
     for verdict in rows:
@@ -352,7 +339,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_cap(args)
+        if args.max_closure is not None and args.max_closure < 1:
+            raise CertParamError("--max-closure must be a positive integer")
+        default_closure_cap()  # refuses a malformed ACCEPTCERT_MAX_CLOSURE
         return args.func(args)
     except (CertParamError, ClosureCapError, ExactAlgError, GroupError,
             GroupStructureError, NotAHomomorphismError) as exc:

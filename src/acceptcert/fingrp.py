@@ -42,7 +42,14 @@ class GroupStructureError(Exception):
 
 
 def default_closure_cap() -> int:
-    return int(os.environ.get("ACCEPTCERT_MAX_CLOSURE", "100000"))
+    """``ACCEPTCERT_MAX_CLOSURE`` (default 100000); ClosureCapError unless positive."""
+    try:
+        cap = int(os.environ.get("ACCEPTCERT_MAX_CLOSURE", "100000"))
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ClosureCapError("ACCEPTCERT_MAX_CLOSURE must be a positive integer")
+    return cap
 
 
 class FinGroup:

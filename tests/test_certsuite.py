@@ -1,8 +1,10 @@
 """Certificate registry: ids, expected outcomes, determinism, validation."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acceptcert import certsuite
 from acceptcert.certsuite import (
@@ -118,10 +120,118 @@ def test_param_validation():
     ("scf_so_odd", {"n": 1, "denominators": [0]}),
     ("sanity_acceptable", {"group": 4, "count": 1, "seed": 1}),
     ("sanity_acceptable", {"group": "su4", "count": 1}),
+    # the neighbours of every bound
+    ("sp1_diag", {"m": 2, "eps": 1}),
+    ("psp3_via_sp1", {"m": certsuite.SP1_MAX_FACTORS + 1, "eps": 1}),
+    ("sp1_diag", {"m": 3, "eps": 0}),
+    ("sp1_diag", {"m": 3, "eps": True}),
+    ("psu_odd_prime", {"p": 9}),
+    ("psu_odd_prime", {"p": 241}),
+    ("psu_odd_prime", {"p": True}),
+    ("su4_power_d4", {"k": 0}),
+    ("su4_power_d4", {"k": certsuite.D4_MAX_COPIES + 1}),
+    ("su4_power_d4", {"k": True}),
+    ("scf_o_odd", {"n": 0}),
+    ("scf_so_odd", {"n": certsuite.SCAN_MAX_N + 1}),
+    ("scf_so_odd", {"n": True}),
+    ("scf_o_odd", {"n": 1, "denominators": [241]}),
+    ("scf_o_odd", {"n": 1, "denominators": [True]}),
+    ("sanity_acceptable", {"group": "su4", "count": 0, "seed": 1}),
+    ("sanity_acceptable", {"group": "su4", "count": certsuite.SANITY_MAX_COUNT + 1,
+                           "seed": 1}),
+    ("sanity_acceptable", {"group": "su4", "count": True, "seed": 1}),
+    ("sanity_acceptable", {"group": "su4", "count": 1, "seed": True}),
 ])
 def test_param_schema(cert_id, params):
     with pytest.raises(CertParamError):
         run(cert_id, params)
+
+
+@pytest.mark.parametrize("cert_id, params", [
+    ("sp1_diag", {"m": 3, "eps": -1}),
+    ("psp3_via_sp1", {"m": certsuite.SP1_MAX_FACTORS, "eps": 1}),
+    ("psu_odd_prime", {"p": 3}),
+    ("psu_odd_prime", {"p": 239}),
+    ("su4_power_d4", {"k": certsuite.D4_MAX_COPIES}),
+    ("scf_o_odd", {"n": certsuite.SCAN_MAX_N, "denominators": [1, 240]}),
+    ("sanity_acceptable", {"group": "sp1_cubed", "count": certsuite.SANITY_MAX_COUNT,
+                           "seed": -2 ** 70}),
+])
+def test_param_schema_accepts_its_bounds(cert_id, params):
+    certsuite.certificate(cert_id).check_params(params)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, p))
+
+
+# The accepted values of every registry parameter, restated from the README
+# table rather than read from the schema.
+ACCEPTED = {
+    "m": lambda v: 3 <= v <= 1000,
+    "eps": lambda v: v in (1, -1),
+    "p": lambda v: 3 <= v <= 240 and v % 2 == 1 and _is_prime(v),
+    "k": lambda v: 1 <= v <= 100,
+    "n": lambda v: 1 <= v <= 4,
+    "count": lambda v: 1 <= v <= 1000,
+    "seed": lambda v: True,
+}
+
+
+def accepted(key, value):
+    if key == "group":
+        return value in ("su4", "sp1_cubed")
+    if key == "denominators":
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(type(m) is int and m >= 1 and m * 4 // math.gcd(m, 4) <= 240
+                        for m in value))
+    return type(value) is int and ACCEPTED[key](value)
+
+
+NEAR_BOUNDS = st.one_of(
+    st.integers(-2, 6), st.integers(95, 105), st.integers(235, 245), st.integers(995, 1005),
+    st.sampled_from(["su4", "sp1_cubed"]), st.lists(st.integers(-1, 245), max_size=3))
+HOSTILE = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.floats(allow_nan=True),
+    st.text(max_size=4), st.none(),
+    st.lists(st.one_of(NEAR_BOUNDS, st.booleans(), st.text(max_size=2)), max_size=3))
+MISSING = object()
+
+
+def drawn_params(cert):
+    """Each declared key, and one undeclared, kept from the default grid, left
+    out, or drawn near the bounds or from hostile values."""
+    base = cert.param_grid[0]
+    keys = sorted({**cert.params, **cert.optional}) + ["typo"]
+    per_key = {key: st.one_of(st.just(base.get(key, MISSING)), st.just(MISSING),
+                              NEAR_BOUNDS, HOSTILE) for key in keys}
+    return st.fixed_dictionaries(per_key).map(
+        lambda d: (cert, {k: v for k, v in d.items() if v is not MISSING}))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(registry()).flatmap(drawn_params))
+def test_check_params_accepts_only_the_restated_bounds(drawn):
+    cert, params = drawn
+    try:
+        cert.check_params(params)
+    except CertParamError:
+        return
+    assert set(cert.params) <= set(params) <= set(cert.params) | set(cert.optional)
+    for key, value in params.items():
+        assert accepted(key, value), (cert.id, key, value)
+
+
+def test_every_size_parameter_is_bounded():
+    # a certificate added later cannot ship a size parameter without a maximum
+    for cert in registry():
+        for key in {**cert.params, **cert.optional}:
+            if key == "seed":
+                continue
+            for huge in (10 ** 9, [10 ** 9]):
+                params = dict(cert.param_grid[0], **{key: huge})
+                with pytest.raises(CertParamError):
+                    cert.check_params(params)
 
 
 def test_default_grids_fit_their_schemas():
@@ -174,6 +284,8 @@ def test_run_all_runs_given_ids_in_order_through_the_module_run(monkeypatch):
     {"cert_ids": ["su4_mod_center", "no_such_cert"]},
     {"grid_overrides": {"su4_mod_center": [{}], "no_such_cert": [{}]}},
     {"grid_overrides": {"sp1_diag": [{"m": 3, "eps": 1}, {"m": 3}]}},
+    {"grid_overrides": {"sp1_diag": []}},
+    {"grid_overrides": {"sp1_diag": [{"m": 3, "eps": 1}, {"m": 2, "eps": 1}]}},
 ])
 def test_run_all_checks_every_input_before_anything_runs(monkeypatch, kwargs):
     def refuse(*args, **kwargs):

@@ -191,11 +191,11 @@ def test_max_closure_is_checked_for_every_subcommand(capsys, argv):
 
 
 def test_scans_stop_at_the_closure_cap(tmp_path, capsys, monkeypatch):
-    # n = 9 scans 2^20 sign matrices per angle, over the default cap of 100000
-    monkeypatch.delenv("ACCEPTCERT_MAX_CLOSURE", raising=False)
+    # n = 4 scans 2^10 sign matrices per angle, over a default cap of 1000
+    monkeypatch.setenv("ACCEPTCERT_MAX_CLOSURE", "1000")
     params = tmp_path / "grid.json"
-    params.write_text(json.dumps({"scf_o_odd": [{"n": 9, "denominators": [4]}]}))
-    for argv in (("scan-scf", "o-odd", "9", "--denominators", "4"),
+    params.write_text(json.dumps({"scf_o_odd": [{"n": 4, "denominators": [4]}]}))
+    for argv in (("scan-scf", "o-odd", "4", "--denominators", "4"),
                  ("verify", "scf_o_odd", "--params", str(params)),
                  ("scan-scf", "o-odd", "1", "--max-closure", "15"),
                  ("verify", "scf_o_odd", "--max-closure", "1")):
@@ -280,12 +280,34 @@ _ENV_CASES = [(argv, {}, {"ACCEPTCERT_MAX_CLOSURE": value}, "ACCEPTCERT_MAX_CLOS
       "--params", "{grid}"),
      {"grid": {"sanity_acceptable": [{"group": "bogus", "count": 1, "seed": 1}]}},
      {}, "'group' must be 'su4' or 'sp1_cubed'"),
+    (("verify", "sp1_diag", "--params", "{grid}"),
+     {"grid": {"sp1_diag": [{"m": 3000000, "eps": 1}]}}, {},
+     "'m' must be an integer from 3 to 1000"),
+    (("verify", "su4_power_d4", "--params", "{grid}"),
+     {"grid": {"su4_power_d4": [{"k": 100000}]}}, {}, "'k' must be an integer from 1 to 100"),
+    # one message for one bad value, from either subcommand
+    (("verify", "scf_o_odd", "--params", "{grid}"),
+     {"grid": {"scf_o_odd": [{"n": 5, "denominators": [4]}]}}, {},
+     "scf_o_odd parameter 'n' must be an integer from 1 to 4, got 5"),
+    (("scan-scf", "o-odd", "5", "--denominators", "4"), {}, {},
+     "scf_o_odd parameter 'n' must be an integer from 1 to 4, got 5"),
+    # a named certificate with an empty grid would silently not run
+    (("verify", "sp1_diag", "su4_mod_center", "--params", "{grid}"),
+     {"grid": {"sp1_diag": []}}, {}, "parameters for sp1_diag must be a non-empty list"),
+    # each refused before crit_3a1 runs, which would stop at the cap of 2
+    (("verify", "crit_3a1", "sp1_diag", "--max-closure", "2", "--params", "{grid}"),
+     {"grid": {"sp1_diag": [{"m": 2, "eps": 1}]}}, {}, "'m' must be an integer from 3"),
+    (("verify", "crit_3a1", "scf_so_odd", "--max-closure", "2", "--params", "{grid}"),
+     {"grid": {"scf_so_odd": [{"n": 0}]}}, {}, "'n' must be an integer from 1 to 4"),
+    (("verify", "crit_3a1", "psu_odd_prime", "--max-closure", "2", "--params", "{grid}"),
+     {"grid": {"psu_odd_prime": [{"p": 9}]}}, {}, "'p' must be an odd prime at most 240"),
 ] + _ENV_CASES, ids=[
     "scan_huge_n", "verify_scan_huge_n", "scan_huge_denominator",
     "verify_scan_huge_denominator", "psu_huge_prime", "params_huge_integer",
     "generators_huge_coordinate", "sanity_over_cap", "generators_huge_prime_radicand",
     "generators_infinite_order", "generators_infinite_slot_group", "sanity_huge_count",
-    "sanity_bogus_group",
+    "sanity_bogus_group", "sp1_huge_m", "d4_huge_k", "verify_scan_n5", "scan_n5",
+    "empty_grid", "crit_then_sp1_m2", "crit_then_scan_n0", "crit_then_psu_p9",
 ] + ["env_%s_%s" % (env["ACCEPTCERT_MAX_CLOSURE"], argv[0]) for argv, _, env, _ in _ENV_CASES])
 def test_bad_input_exits_2_with_a_message_and_no_traceback(tmp_path, argv, files, env,
                                                           needle):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from acceptcert import certsuite
-from acceptcert.exactalg import ExactMatrix, ONE, cyc_i, cyc_rational
+from acceptcert.exactalg import ExactMatrix, ONE, ZERO, commutant, cyc_i, cyc_rational
 from acceptcert.fingrp import (
     FinGroup,
     FormalGroupSpec,
@@ -28,6 +28,12 @@ from acceptcert.homcheck import (
     abelian_weight_oracle,
     decide_global,
     is_element_conjugate,
+)
+from acceptcert.so3crit import (
+    build_witness_pair,
+    decide_criterion,
+    rotation_group_from_quats,
+    standard_criterion_group,
 )
 
 MINUS_I4 = ExactMatrix.identity(4).scaled(cyc_rational(-1))
@@ -430,3 +436,113 @@ def test_edge_check_refuses_exactly_what_the_full_tables_refuse(cert_id, params)
             for gi in row:
                 assert zs[d_tab[x][gi]] == cp_ref[x][gi] * c_ref[x][gi].inverse(), (name, x, gi)
         decide_global(pair, lifts_override=(a_list, b_list))
+
+
+# --- a linear-algebra reference for global conjugacy ---------------------------------
+
+
+def quat_matrix(q):
+    """The unit quaternion a + b i + c j + d k as its matrix in SU(2)."""
+    ii = cyc_i()
+    return ExactMatrix.make([[q.a + q.b * ii, q.c + q.d * ii],
+                             [-q.c + q.d * ii, q.a - q.b * ii]])
+
+
+def block_sum(x, y):
+    n = x.rows
+    return ExactMatrix.make([list(x.row(i)) + [ZERO] * n for i in range(n)]
+                            + [[ZERO] * n + list(y.row(i)) for i in range(n)])
+
+
+def tuples_equivalent(xs, ys):
+    """dim Hom(A, B) = dim End A = dim End B, each from one commutant."""
+    end_a = commutant(xs).dim
+    end_b = commutant(ys).dim
+    both = commutant([block_sum(x, y) for x, y in zip(xs, ys)]).dim
+    return end_a == end_b == (both - end_a - end_b) // 2
+
+
+def conjugate_by_linear_algebra(pair):
+    """Global conjugacy from commutant dimensions alone.
+
+    Let G = Gh/Z with Gh the product of the factors Gh_k (SU(n) or Sp(1)),
+    S the source's generators and a(s), b(s) in Gh lifts of f(s), f'(s).
+
+    1. f' = g f g^-1 for some g in G iff it holds on S, since both sides
+       are homomorphisms; for a lift gh of g that reads
+       gh a(s) gh^-1 = z_s b(s) with z in Z^S, factor by factor.
+    2. For fixed z, the k-th parts are conjugate in Gh_k iff the tuples
+       A = (a_k(s)) and B = (z_s,k b_k(s)) are equivalent as representations
+       of the free group on S.  Sp(1) is SU(2) through ``quat_matrix``, an
+       isomorphism.  An invertible T with T A = B T gives a unitary one: T*T
+       commutes with the unitary tuple A, so does its positive root P, and
+       T P^-1 is unitary and intertwines; a scalar then puts it in SU(n).
+    3. Unitary tuples are completely reducible: A = sum m_i V_i and
+       B = sum n_i V_i.  By Schur, dim Hom(A, B) = sum m_i n_i,
+       dim End A = sum m_i^2 and dim End B = sum n_i^2, so
+       sum (m_i - n_i)^2 = dim End A + dim End B - 2 dim Hom(A, B), and A, B
+       are equivalent iff the three dimensions are equal.
+    4. The commutant of the block sums diag(a, b) is
+       End A + Hom(B, A) + Hom(A, B) + End B, and dim Hom(B, A) =
+       dim Hom(A, B), so dim Hom(A, B) is half of dim C(A + B) - dim End A
+       - dim End B.  A kernel of a system over a cyclotomic field has the
+       same dimension over C.
+
+    No cocycle, character, kernel of f or closure is used.  A factor's
+    answer depends only on its parts of z b, so it is memoized on them.
+    """
+    g = pair.target
+    gens = list(dict.fromkeys(pair.src.gen_indices or range(pair.src.order)))
+    a = [g.ambient_of(pair.f.images[i]) for i in gens]
+    b = [g.ambient_of(pair.fprime.images[i]) for i in gens]
+
+    def as_matrix(part):
+        return quat_matrix(part) if isinstance(part, Quat) else part
+
+    memo = {}
+
+    def factor_conjugate(k, zb):
+        parts = tuple(y.parts[k] for y in zb)
+        if (k, parts) not in memo:
+            memo[k, parts] = tuples_equivalent([as_matrix(x.parts[k]) for x in a],
+                                               [as_matrix(p) for p in parts])
+        return memo[k, parts]
+
+    for zs in itertools.product(g.z_subgroup, repeat=len(gens)):
+        zb = [z * y for z, y in zip(zs, b)]
+        if all(factor_conjugate(k, zb) for k in range(len(g.factors))):
+            return True
+    return False
+
+
+def crit_3a1_witness_pair():
+    g = standard_criterion_group()
+    gbar = rotation_group_from_quats(certsuite.criterion_generator_quats())
+    return build_witness_pair(decide_criterion(g, gbar), g, gbar)
+
+
+REGISTRY_PAIRS = [(cert.id, params) for cert in certsuite.registry() if cert.build
+                  for params in cert.param_grid]
+SANITY_BATCHES = [("sanity_acceptable", params)
+                  for params in certsuite.certificate("sanity_acceptable").param_grid]
+
+
+def reference_pairs(cert_id, params):
+    if cert_id == "crit_3a1":
+        return [crit_3a1_witness_pair()]
+    if cert_id == "sanity_acceptable":
+        return list(certsuite._sanity_pairs(params["group"], params["count"], params["seed"]))
+    return [lift_case_pair(cert_id, params)]
+
+
+# All inputs named for this reference: every registry hom pair on its
+# default grid, the crit_3a1 witness, the two default sanity batches (50
+# pairs, conjugate like all four below) and the LIFT_CASES the registry
+# grids do not already hold (the four sanity pairs into quotients by -1).
+# About 2 s in all on a 2-vCPU host, 0.7 s of it psu_odd_prime at p = 5.
+@pytest.mark.parametrize("cert_id, params", REGISTRY_PAIRS + [("crit_3a1", {})]
+                         + SANITY_BATCHES
+                         + [case for case in LIFT_CASES if case not in REGISTRY_PAIRS])
+def test_linear_algebra_reference_agrees_with_decide_global(cert_id, params):
+    for pair in reference_pairs(cert_id, params):
+        assert conjugate_by_linear_algebra(pair) == decide_global(pair).conjugate
